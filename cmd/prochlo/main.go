@@ -87,7 +87,7 @@ func runShuffler(listen, analyzerAddr string, t, workers int) {
 		Rand:      newRand(),
 		Workers:   workers,
 	}
-	svc, err := transport.NewShufflerService(sh, priv.Public().Bytes(), analyzerAddr)
+	svc, err := transport.NewStageShufflerFleetService(sh, priv.Public().Bytes(), []string{analyzerAddr}, transport.EpochConfig{})
 	if err != nil {
 		fatal(err)
 	}
@@ -142,8 +142,8 @@ func runClient(shufflerAddr, analyzerKeyHex string, reports, workers int) {
 	if n, err := cl.SubmitAll(envs, transport.DefaultSubmitRetries, transport.DefaultSubmitDelay); err != nil {
 		fatal(fmt.Errorf("after %d of %d reports accepted: %w", n, len(envs), err))
 	}
-	// Drain rather than Flush: against a streaming daemon some epochs have
-	// already auto-flushed, and Drain pushes the remainder and reports the
+	// Drain: against a streaming daemon some epochs have already
+	// auto-flushed, and Drain pushes the remainder and reports the
 	// cumulative selectivity.
 	stats, err := cl.Drain()
 	if err != nil {
@@ -181,7 +181,7 @@ func runDemo(reports, t, workers int) {
 		Rand:      newRand(),
 		Workers:   workers,
 	}
-	shufSvc, err := transport.NewShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String())
+	shufSvc, err := transport.NewStageShufflerFleetService(sh, shufPriv.Public().Bytes(), []string{anlzL.Addr().String()}, transport.EpochConfig{})
 	if err != nil {
 		fatal(err)
 	}
@@ -216,10 +216,12 @@ func runDemo(reports, t, workers int) {
 	if n, err := cl.SubmitAll(envs, transport.DefaultSubmitRetries, transport.DefaultSubmitDelay); err != nil {
 		fatal(fmt.Errorf("after %d of %d reports accepted: %w", n, len(envs), err))
 	}
-	stats, err := cl.Flush()
+	// Drain cuts the epoch and waits for it to reach the analyzer.
+	drained, err := cl.Drain()
 	if err != nil {
 		fatal(err)
 	}
+	stats := drained.Cumulative
 	fmt.Printf("shuffler: %d received, %d crowds, %d forwarded crowds, %d reports forwarded\n",
 		stats.Received, stats.Crowds, stats.CrowdsForwarded, stats.Forwarded)
 

@@ -28,19 +28,18 @@
 // -stats-interval logs the service's health counters periodically for
 // observability without an RPC client.
 //
-// -wal-dir makes a shuffler-role daemon crash-safe: every accepted report is
-// written to a per-shard write-ahead log before the submission is acked, and
-// a restarted daemon recovers the directory — re-ingesting pending reports
+// -wal-dir makes a shuffler-role daemon crash-safe: every submission is
+// written to a write-ahead log (one fsync each) before it is acked, and a
+// restarted daemon recovers the directory — re-ingesting pending reports
 // and re-pushing in-flight epochs under the same (stream, epoch) ids so the
-// downstream dedup absorbs the replay. -wal-sync sets the fsync cadence (the
-// durability/throughput knob). Pair -wal-dir with -key-file, which persists
-// the daemon's private keys across restarts (created 0600 on first start):
-// without it a restarted daemon draws fresh keys and every recovered report
-// is undecryptable. Redials to a dead downstream back off
+// downstream dedup absorbs the replay. Pair -wal-dir with -key-file, which
+// persists the daemon's private keys across restarts (created 0600 on first
+// start): without it a restarted daemon draws fresh keys and every recovered
+// report is undecryptable. Redials to a dead downstream back off
 // exponentially with jitter, tuned by -redial-attempts, -redial-base, and
-// -redial-jitter. SIGINT or SIGTERM shuts down
-// gracefully: the listener closes, the final epoch is drained downstream,
-// and only then does the process exit.
+// -redial-jitter. SIGINT or SIGTERM shuts down gracefully: the listener
+// closes, the final epoch is drained downstream, and only then does the
+// process exit.
 //
 // Any hop can also run as a replicated fleet. -fleet enables fan-out mode,
 // where -next is a comma-separated list of the downstream tier's replicas
@@ -108,7 +107,7 @@ func main() {
 	minBatch := flag.Int("min-batch", shuffler.DefaultMinBatch, "minimum envelopes per processed epoch (the anonymity floor)")
 	seed := flag.Uint64("seed", 0, "deterministic batch RNG seed (0 = cryptographically random); stages derive independent per-role streams, so a seeded chain reproduces the in-process pipeline")
 
-	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = manual Flush only)")
+	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = no occupancy trigger)")
 	epochInterval := flag.Duration("epoch", 0, "auto-flush epoch interval (0 = no timer)")
 	maxPending := flag.Int("max-pending", 0, "occupancy cap before submissions get a retryable epoch-full error (0 = 2*flush-at); must fit the upstream hop's epochs in a chain")
 	inFlight := flag.Int("inflight", 2, "bounded queue of cut-but-unflushed epochs")
@@ -117,13 +116,11 @@ func main() {
 	statsInterval := flag.Duration("stats-interval", 0, "periodically log service stats (0 disables)")
 	keyFile := flag.String("key-file", "", "persist the daemon's private keys at this path (created on first start, 0600): a restarted daemon decrypts the reports it recovers from -wal-dir; empty generates fresh keys per process")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: accepted reports are persisted before they are acked and recovered on restart (empty disables durability; pair with -key-file or recovered reports are undecryptable)")
-	walSync := flag.Int("wal-sync", 0, "fsync the WAL every N submissions (0 = every submission; larger trades crash-durability tail for throughput)")
 	walSegment := flag.Int("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = default)")
 	redialAttempts := flag.Int("redial-attempts", 0, "reconnects to a dead downstream per push before the epoch fails (0 = default, negative disables)")
 	redialBase := flag.Duration("redial-base", 0, "first redial backoff, doubling per attempt (0 = default)")
 	redialJitter := flag.Float64("redial-jitter", 0, "redial backoff jitter fraction (0 = default, negative disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
-	wireFlag := flag.String("wire", "binary", "data-plane protocol for downstream pushes: binary (framed batch codec, per-connection gob fallback) or gob; the listener always accepts both")
 	flag.Parse()
 
 	if *next == "" {
@@ -143,10 +140,6 @@ func main() {
 	if *sgxMode && *groupName != "" && *groupName != group.Default().Name() {
 		fatal(errors.New("-group is incompatible with -sgx: the enclave attests a key on the default backend"))
 	}
-	wireMode, err := transport.ParseWireMode(*wireFlag)
-	if err != nil {
-		fatal(err)
-	}
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
@@ -158,9 +151,7 @@ func main() {
 		InFlight:        *inFlight,
 		Shards:          *shards,
 		DialTimeout:     *dialTimeout,
-		Wire:            wireMode,
 		WALDir:          *walDir,
-		WALSync:         *walSync,
 		WALSegmentBytes: *walSegment,
 		RedialAttempts:  *redialAttempts,
 		RedialBase:      *redialBase,
@@ -503,7 +494,7 @@ func printEpochs(cfg transport.EpochConfig) {
 		fmt.Printf("epochs: flush-at %d, interval %v, max-pending %d, in-flight %d\n",
 			cfg.FlushAt, cfg.Interval, cfg.MaxPending, cfg.InFlight)
 	} else {
-		fmt.Println("epochs: manual Flush only")
+		fmt.Println("epochs: cut on drain only")
 	}
 }
 

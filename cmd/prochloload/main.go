@@ -92,7 +92,6 @@ func main() {
 
 		workers     = flag.Int("workers", 0, "worker pool size per loopback stage and client encoder (0 = GOMAXPROCS)")
 		flushAt     = flag.Int("flush-at", 400, "epoch auto-flush threshold of the loopback services")
-		wire        = flag.String("wire", "binary", "data-plane protocol for every hop: binary (framed batch codec, per-connection gob fallback) or gob")
 		metricsAddr = flag.String("metrics-addr", "", "serve the loopback fleet's combined /metrics + /healthz endpoint on this address during the run")
 		format      = flag.String("format", "json", "result row format: json (one object per line) or csv (header + rows)")
 		outPath     = flag.String("out", "-", "write result rows to this file (- = stdout)")
@@ -115,15 +114,10 @@ func main() {
 		out = f
 	}
 
-	wireMode, err := transport.ParseWireMode(*wire)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	shapes, external := planRuns(*loopback, *sweep, *s1Addrs)
 	var rows []row
 	if external {
-		r, err := runExternal(cfg, *s1Addrs, *s2Addrs, *anlzAddrs, *workers, wireMode)
+		r, err := runExternal(cfg, *s1Addrs, *s2Addrs, *anlzAddrs, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -141,7 +135,7 @@ func main() {
 			log.Printf("metrics on http://%s/metrics", srv.Addr())
 		}
 		for _, shape := range shapes {
-			r, err := runLoopback(cfg, shape, *workers, *flushAt, reg, wireMode)
+			r, err := runLoopback(cfg, shape, *workers, *flushAt, reg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -218,7 +212,7 @@ func (f *loopbackFleet) records() int {
 // seeded from the workload seed, so a seeded run is reproducible end to
 // end. When reg is non-nil every service registers its metrics under
 // {role, replica} labels.
-func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *metrics.Registry, wire transport.WireMode) (*loopbackFleet, error) {
+func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *metrics.Registry) (*loopbackFleet, error) {
 	f := &loopbackFleet{}
 	ok := false
 	defer func() {
@@ -228,7 +222,7 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 	}()
 
 	epochCfg := func(role string, replica int) transport.EpochConfig {
-		cfg := transport.EpochConfig{FlushAt: flushAt, Wire: wire}
+		cfg := transport.EpochConfig{FlushAt: flushAt}
 		if reg != nil {
 			cfg.Metrics = reg
 			cfg.MetricsLabels = metrics.Labels{"role": role, "replica": strconv.Itoa(replica)}
@@ -309,18 +303,18 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 
 // runLoopback spins up one fleet shape, drives the load through a balanced
 // RemotePipeline, drains, and folds the reconciliation ledger into the row.
-func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metrics.Registry, wire transport.WireMode) (row, error) {
+func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metrics.Registry) (row, error) {
 	s1N, s2N, anlzN, err := parseShape(shape)
 	if err != nil {
 		return row{}, err
 	}
-	fleet, err := newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt, cfg.Seed, reg, wire)
+	fleet, err := newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt, cfg.Seed, reg)
 	if err != nil {
 		return row{}, err
 	}
 	defer fleet.close()
 
-	opts := []prochlo.RemoteOption{prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(wire.String())}
+	opts := []prochlo.RemoteOption{prochlo.WithRemoteWorkers(workers)}
 	if reg != nil {
 		opts = append(opts, prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"}))
 	}
@@ -345,7 +339,7 @@ func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metri
 
 // runExternal drives an already-running deployment and drains it for the
 // ledger. The daemons keep running; only their current epochs are flushed.
-func runExternal(cfg load.Config, s1, s2, anlz string, workers int, wire transport.WireMode) (row, error) {
+func runExternal(cfg load.Config, s1, s2, anlz string, workers int) (row, error) {
 	split := func(s string) []string {
 		if s == "" {
 			return nil
@@ -361,9 +355,9 @@ func runExternal(cfg load.Config, s1, s2, anlz string, workers int, wire transpo
 		err error
 	)
 	if len(s2A) > 0 {
-		rp, err = prochlo.DialRemoteChainFleet(s1A, s2A, anlzA, prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(wire.String()))
+		rp, err = prochlo.DialRemoteChainFleet(s1A, s2A, anlzA, prochlo.WithRemoteWorkers(workers))
 	} else {
-		rp, err = prochlo.DialRemoteFleet(s1A, anlzA, prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(wire.String()))
+		rp, err = prochlo.DialRemoteFleet(s1A, anlzA, prochlo.WithRemoteWorkers(workers))
 	}
 	if err != nil {
 		return row{}, err

@@ -1,13 +1,14 @@
 // Networked pipeline: the ESA parties of Figure 1 as long-lived services
-// exchanging gob-encoded RPC over loopback TCP — the same wiring
-// cmd/prochlod runs across machines. Two topologies are demonstrated:
+// talking over loopback TCP (batches on the framed binary data plane,
+// control calls on net/rpc) — the same wiring cmd/prochlod runs across
+// machines. Two topologies are demonstrated:
 //
 // The default is the single-shuffler deployment: a fleet of clients ships
 // whole batches of nested-encrypted reports per round trip
 // (Shuffler.SubmitBatch), epochs auto-flush to the analyzer whenever
 // occupancy reaches -flush-at, and the analyzer's histogram accumulates
-// across epochs. One report is also sent over the single-envelope Submit
-// RPC to show the compatibility path.
+// across epochs. One report is also sent on its own with Submit, a
+// one-report batch.
 //
 // With -chain, the §4.3 split-shuffler chain runs instead: clients submit
 // blinded envelopes to a Shuffler 1 daemon, which blinds, shuffles, and
@@ -117,7 +118,7 @@ func main() {
 	if err := rp.SubmitBatch(labels, data); err != nil {
 		log.Fatal(err)
 	}
-	// The compatibility path: one report, one RPC round trip.
+	// A single report: a one-report batch, one round trip.
 	if err := rp.Submit("cfg:dark-mode", []byte("dark-mode")); err != nil {
 		log.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func dialSingle(anlzL net.Listener, workers, flushAt int) *prochlo.RemotePipelin
 		Rand:      rand.New(rand.NewPCG(17, 19)),
 		Workers:   workers,
 	}
-	shufSvc, err := transport.NewStreamingShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String(),
+	shufSvc, err := transport.NewStageShufflerFleetService(sh, shufPriv.Public().Bytes(), []string{anlzL.Addr().String()},
 		epochCfg("shuffler", 0, flushAt))
 	if err != nil {
 		log.Fatal(err)
@@ -225,7 +226,7 @@ func dialChain(anlzL net.Listener, workers, flushAt int) *prochlo.RemotePipeline
 		MinBatch:  1,
 		Workers:   workers,
 	}
-	s2Svc, err := transport.NewShuffler2Service(s2, anlzL.Addr().String(),
+	s2Svc, err := transport.NewShuffler2FleetService(s2, []string{anlzL.Addr().String()},
 		epochCfg("shuffler2", 0, flushAt))
 	if err != nil {
 		log.Fatal(err)
@@ -240,7 +241,7 @@ func dialChain(anlzL net.Listener, workers, flushAt int) *prochlo.RemotePipeline
 		log.Fatal(err)
 	}
 	s1.Workers = workers
-	s1Svc, err := transport.NewShuffler1Service(s1, s2L.Addr().String(),
+	s1Svc, err := transport.NewShuffler1FleetService(s1, []string{s2L.Addr().String()},
 		epochCfg("shuffler1", 0, flushAt))
 	if err != nil {
 		log.Fatal(err)

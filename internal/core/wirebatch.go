@@ -12,7 +12,7 @@ import (
 // type metadata — unlike gob, which re-encodes its schema on every
 // connection — so a hop-to-hop push is a single reflection-free marshal.
 // SeqNo is deliberately not encoded: the receiving stage stamps fresh
-// arrival metadata on ingest, exactly as it does for gob submissions.
+// arrival metadata on ingest.
 
 // AppendBatch appends b's binary wire encoding to dst and returns the
 // extended buffer. An empty batch of a concrete kind (e.g. zero envelopes)

@@ -33,10 +33,6 @@ type BalancerConfig struct {
 	// disables transient retries.
 	Redials    int
 	RedialBase time.Duration
-	// Wire selects each replica client's data-plane protocol (the zero
-	// value is the framed binary protocol with gob fallback; see wire.go).
-	// Health probes always ride net/rpc.
-	Wire WireMode
 	// Metrics, when non-nil, registers the balancer's health gauges and
 	// failover counters (the prochlo_balancer_* series) on the given
 	// registry; MetricsLabels is attached to every series.
@@ -182,7 +178,6 @@ func (r *balancerReplica) client(cfg BalancerConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.SetWire(cfg.Wire)
 	if cfg.Redials != 0 {
 		cl.SetRedial(cfg.Redials, cfg.RedialBase)
 	} else if cfg.RedialBase > 0 {

@@ -4,7 +4,6 @@ import (
 	crand "crypto/rand"
 	"math/rand/v2"
 	"net"
-	"net/rpc"
 	"strings"
 	"sync"
 	"testing"
@@ -31,10 +30,10 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// killableServer serves an RPC receiver while tracking accepted
-// connections, so tests can sever a replica's transport the way a process
-// kill does — either everything (kill) or just the established
-// connections (dropConns), leaving the listener up for redials.
+// killableServer serves a receiver on both planes (like Serve) while
+// tracking accepted connections, so tests can sever a replica's transport
+// the way a process kill does — either everything (kill) or just the
+// established connections (dropConns), leaving the listener up for redials.
 type killableServer struct {
 	l     net.Listener
 	mu    sync.Mutex
@@ -43,8 +42,8 @@ type killableServer struct {
 
 func serveKillable(t *testing.T, name string, rcvr any) *killableServer {
 	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(name, rcvr); err != nil {
+	srv, err := NewRPCServer(name, rcvr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -232,9 +231,9 @@ func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	}
 }
 
-// dropOnceShuffler ingests a SubmitBatch and then severs every connection
-// before the ack can be written — a deterministic connection-drop
-// mid-SubmitAll, after the service accepted the batch.
+// dropOnceShuffler ingests a data-plane submission and then severs every
+// connection before the ack can be written — a deterministic
+// connection-drop mid-SubmitAll, after the service accepted the batch.
 type dropOnceShuffler struct {
 	*ShufflerService
 	drop func()
@@ -243,8 +242,8 @@ type dropOnceShuffler struct {
 	dropped bool
 }
 
-func (d *dropOnceShuffler) SubmitBatch(args SubmitBatchArgs, reply *SubmitReply) error {
-	err := d.ShufflerService.SubmitBatch(args, reply)
+func (d *dropOnceShuffler) serveWire(method uint8, stream, pos int64, b core.Batch) (int, error) {
+	n, err := d.ShufflerService.serveWire(method, stream, pos, b)
 	d.mu.Lock()
 	first := !d.dropped && err == nil
 	if first {
@@ -254,7 +253,13 @@ func (d *dropOnceShuffler) SubmitBatch(args SubmitBatchArgs, reply *SubmitReply)
 	if first {
 		d.drop()
 	}
-	return err
+	return n, err
+}
+
+func (d *dropOnceShuffler) fired() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dropped
 }
 
 // TestSubmitAllResumesAfterConnDrop pins the client's transient-retry
@@ -286,6 +291,9 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	}
 	if accepted != len(envs) {
 		t.Fatalf("accepted = %d, want %d", accepted, len(envs))
+	}
+	if !wrapped.fired() {
+		t.Fatal("the connection drop never fired: the submission bypassed the data-plane handler")
 	}
 
 	var stats ServiceStats
@@ -362,15 +370,15 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 	}
 
 	const racers = 8
-	args := ForwardArgs{Stream: 11, Epoch: 1, Batch: core.Batch{Blinded: envs}}
+	batch := core.Batch{Blinded: envs}
 	var wg sync.WaitGroup
 	errs := make([]error, racers)
-	replies := make([]SubmitReply, racers)
+	accepted := make([]int, racers)
 	for g := 0; g < racers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = svc.Forward(args, &replies[g])
+			accepted[g], errs[g] = svc.serveWire(wireForward, 11, 1, batch)
 		}(g)
 	}
 	wg.Wait()
@@ -378,16 +386,16 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 		if errs[g] != nil {
 			t.Fatalf("racer %d: %v", g, errs[g])
 		}
-		if replies[g].Accepted != len(envs) {
-			t.Errorf("racer %d accepted = %d, want %d (idempotent ack)", g, replies[g].Accepted, len(envs))
+		if accepted[g] != len(envs) {
+			t.Errorf("racer %d accepted = %d, want %d (idempotent ack)", g, accepted[g], len(envs))
 		}
 	}
-	var pending int
-	if err := svc.BatchSize(struct{}{}, &pending); err != nil {
+	var stats ServiceStats
+	if err := svc.Stats(struct{}{}, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if pending != len(envs) {
-		t.Fatalf("pending after %d racing forwards = %d, want %d", racers, pending, len(envs))
+	if stats.Pending != len(envs) {
+		t.Fatalf("pending after %d racing forwards = %d, want %d", racers, stats.Pending, len(envs))
 	}
 	var drained ServiceStats
 	if err := svc.Drain(DrainArgs{}, &drained); err != nil {
@@ -488,8 +496,14 @@ func TestHealthzLiveness(t *testing.T) {
 // countCaller records pass-through calls for fault-plan tests.
 type countCaller struct{ calls int }
 
-func (c *countCaller) Call(m string, a, r any) error { c.calls++; return nil }
-func (c *countCaller) Close() error                  { return nil }
+func (c *countCaller) call(uint8, int64, int64, core.Batch) (int, error) { c.calls++; return 0, nil }
+func (c *countCaller) close()                                            {}
+
+// push issues one call through a (fault-wrapped) caller.
+func push(c caller) error {
+	_, err := c.call(wireForward, 1, 1, core.Batch{})
+	return err
+}
 
 // TestFaultPlanKillAndPartition pins the fleet fault modes: a drawn kill
 // invokes the harness hook exactly once and fails the call without
@@ -501,13 +515,13 @@ func TestFaultPlanKillAndPartition(t *testing.T) {
 	kp := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1, Kill: func() { killed++ }}
 	under := &countCaller{}
 	fc := kp.wrap(under)
-	if err := fc.Call("X.Y", nil, nil); err == nil || !strings.Contains(err.Error(), "replica killed") {
+	if err := push(fc); err == nil || !strings.Contains(err.Error(), "replica killed") {
 		t.Fatalf("first call = %v, want the injected kill error", err)
 	}
 	if killed != 1 || under.calls != 0 {
 		t.Fatalf("killed=%d delivered=%d, want the hook invoked once and nothing delivered", killed, under.calls)
 	}
-	if err := fc.Call("X.Y", nil, nil); err != nil {
+	if err := push(fc); err != nil {
 		t.Fatalf("post-budget call = %v, want pass-through", err)
 	}
 	if killed != 1 || under.calls != 1 || kp.Injected() != 1 {
@@ -518,24 +532,24 @@ func TestFaultPlanKillAndPartition(t *testing.T) {
 	np := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1}
 	nunder := &countCaller{}
 	nfc := np.wrap(nunder)
-	if err := nfc.Call("X.Y", nil, nil); err != nil || np.Injected() != 0 {
+	if err := push(nfc); err != nil || np.Injected() != 0 {
 		t.Fatalf("hookless kill draw = (%v, %d injected), want pass-through and nothing injected", err, np.Injected())
 	}
 
 	pp := &FaultPlan{Seed: 3, PPartition: 1, PartitionFor: 60 * time.Millisecond, MaxFaults: 1}
 	punder := &countCaller{}
 	pfc := pp.wrap(punder)
-	if err := pfc.Call("X.Y", nil, nil); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	if err := push(pfc); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Fatalf("first call = %v, want the injected partition error", err)
 	}
-	if err := pfc.Call("X.Y", nil, nil); err == nil {
+	if err := push(pfc); err == nil {
 		t.Fatal("call inside the partition window succeeded")
 	}
 	if pp.Injected() != 1 || punder.calls != 0 {
 		t.Fatalf("injected=%d delivered=%d, want the window to blanket calls without new draws", pp.Injected(), punder.calls)
 	}
 	time.Sleep(80 * time.Millisecond)
-	if err := pfc.Call("X.Y", nil, nil); err != nil {
+	if err := push(pfc); err != nil {
 		t.Fatalf("call after the window closed = %v, want pass-through", err)
 	}
 	if punder.calls != 1 {

@@ -194,7 +194,7 @@ func TestForwardDedup(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
 	}
-	svc, err := NewShuffler2Service(s2, anlzL.Addr().String(), EpochConfig{})
+	svc, err := NewShuffler2FleetService(s2, []string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,32 +214,32 @@ func TestForwardDedup(t *testing.T) {
 		}
 	}
 
-	args := ForwardArgs{Stream: 9, Epoch: 1, Batch: core.Batch{Blinded: envs}}
-	var reply SubmitReply
-	if err := svc.Forward(args, &reply); err != nil {
+	batch := core.Batch{Blinded: envs}
+	accepted, err := svc.serveWire(wireForward, 9, 1, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Accepted != 3 {
-		t.Fatalf("first forward accepted = %d, want 3", reply.Accepted)
+	if accepted != 3 {
+		t.Fatalf("first forward accepted = %d, want 3", accepted)
 	}
 	// The retry (reply lost upstream) must ack without ingesting again.
-	if err := svc.Forward(args, &reply); err != nil {
+	if accepted, err = svc.serveWire(wireForward, 9, 1, batch); err != nil {
 		t.Fatal(err)
 	}
-	if reply.Accepted != 3 {
-		t.Fatalf("retried forward accepted = %d, want 3 (idempotent ack)", reply.Accepted)
+	if accepted != 3 {
+		t.Fatalf("retried forward accepted = %d, want 3 (idempotent ack)", accepted)
 	}
-	var pending int
-	if err := svc.BatchSize(struct{}{}, &pending); err != nil {
+	var stats ServiceStats
+	if err := svc.Stats(struct{}{}, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if pending != 3 {
-		t.Fatalf("pending after duplicate forward = %d, want 3", pending)
+	if stats.Pending != 3 {
+		t.Fatalf("pending after duplicate forward = %d, want 3", stats.Pending)
 	}
 
 	// Wrong wire kind: a blinded hop must refuse plain envelopes.
-	bad := ForwardArgs{Stream: 9, Epoch: 2, Batch: core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}}}
-	if err := svc.Forward(bad, &reply); err == nil {
+	bad := core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}}
+	if _, err := svc.serveWire(wireForward, 9, 2, bad); err == nil {
 		t.Error("forward of plain envelopes into a blinded hop succeeded")
 	}
 

@@ -3,7 +3,6 @@ package transport
 import (
 	crand "crypto/rand"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -39,31 +38,16 @@ func dialRPC(addr string, timeout time.Duration) (*rpc.Client, error) {
 }
 
 // dialCaller dials a downstream peer's data plane and applies the
-// configured fault plan. With Wire == WireBinary (the default) it
-// negotiates the framed binary protocol, falling back to a gob connection
-// when the peer does not speak it; either way every data call is bounded by
-// the wire timeout so a hung peer fails transient instead of wedging the
-// flusher. Fault injection wraps the outside, so an injected delay does not
-// eat into the call budget.
+// configured fault plan. Every call on it is bounded by the wire timeout, so
+// a hung peer fails transient instead of wedging the flusher; fault
+// injection wraps the outside, so an injected delay does not eat into the
+// call budget.
 func (cfg EpochConfig) dialCaller(addr string) (caller, error) {
-	var cl caller
-	if cfg.Wire == WireBinary {
-		wc, err := dialWire(addr, cfg.DialTimeout, cfg.wireTimeout())
-		switch {
-		case err == nil:
-			cl = &wireCaller{wc: wc}
-		case !errors.Is(err, errWireUnsupported):
-			return nil, err
-		}
+	wc, err := dialWire(addr, cfg.DialTimeout, cfg.wireTimeout())
+	if err != nil {
+		return nil, err
 	}
-	if cl == nil {
-		rc, err := dialRPC(addr, cfg.DialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		cl = &timeoutCaller{cl: rc, timeout: cfg.wireTimeout()}
-	}
-	return cfg.Fault.wrap(cl), nil
+	return cfg.Fault.wrap(wc), nil
 }
 
 // newStreamID draws a random 63-bit stream id. Stream ids name a pusher's
@@ -90,55 +74,8 @@ func newStreamID() (int64, error) {
 // need no locking around their connection.
 type sink interface {
 	push(stream, epoch int64, out core.Batch) error
-	close() error
+	close()
 }
-
-// analyzerSink pushes peeled payloads to an analyzer service, redialing a
-// broken connection with jittered exponential backoff: a long-lived daemon
-// must survive an analyzer restart, so a failed call is retried on a fresh
-// connection before the epoch is declared lost. Retried pushes are
-// deduplicated analyzer-side by (stream, epoch) — a reply lost after
-// ingestion must not double-count.
-type analyzerSink struct {
-	cl   caller
-	addr string
-	cfg  EpochConfig
-	ab   *aborter
-}
-
-func newAnalyzerSink(addr string, cfg EpochConfig, ab *aborter) (*analyzerSink, error) {
-	cl, err := cfg.dialCaller(addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial analyzer: %w", err)
-	}
-	return &analyzerSink{cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
-}
-
-func (s *analyzerSink) push(stream, epoch int64, out core.Batch) error {
-	if k := out.Kind(); k != core.KindPayloads && k != core.KindEmpty {
-		return fmt.Errorf("transport: analyzer ingests %v, stage emitted %v", core.KindPayloads, k)
-	}
-	args := IngestArgs{Stream: stream, Epoch: epoch, Items: out.Payloads}
-	var ack bool
-	err := s.cl.Call("Analyzer.Ingest", args, &ack)
-	pol := s.cfg.redial()
-	for attempt := 0; err != nil && attempt < pol.attempts; attempt++ {
-		if !s.ab.sleep(pol.delay(attempt)) {
-			return err
-		}
-		cl, derr := s.cfg.dialCaller(s.addr)
-		if derr != nil {
-			err = fmt.Errorf("transport: redial analyzer: %w", derr)
-			continue
-		}
-		s.cl.Close()
-		s.cl = cl
-		err = s.cl.Call("Analyzer.Ingest", args, &ack)
-	}
-	return err
-}
-
-func (s *analyzerSink) close() error { return s.cl.Close() }
 
 // Forward-push retry policy: a downstream hop rejecting with the retryable
 // epoch-full error is backpressure, not failure — the upstream flusher backs
@@ -151,31 +88,33 @@ const (
 	forwardDelay   = 25 * time.Millisecond
 )
 
-// stageSink pushes a processed epoch to the next shuffler hop of a chain
-// over the Shuffler.Forward RPC. Epoch-full rejections are retried with
-// backoff (downstream backpressure propagates upstream: the flusher blocks,
-// the in-flight queue fills, and this hop starts rejecting its own clients);
-// broken connections are redialed with jittered exponential backoff like
-// analyzerSink. Receivers dedup by (stream, epoch).
-type stageSink struct {
-	cl   caller
-	addr string
-	cfg  EpochConfig
-	ab   *aborter
+// pushSink pushes each processed epoch to one downstream peer with one
+// frame method: wireForward into the next shuffler hop, wireIngest into an
+// analyzer. Epoch-full rejections are retried with backoff (downstream
+// backpressure propagates upstream: the flusher blocks, the in-flight queue
+// fills, and this hop starts rejecting its own clients; an analyzer never
+// rejects that way); any other failure redials with jittered exponential
+// backoff, so a long-lived daemon survives a downstream restart before the
+// epoch is declared lost. Receivers dedup the at-least-once pushes by
+// (stream, epoch) — a reply lost after ingestion must not double-count.
+type pushSink struct {
+	cl     caller
+	addr   string
+	method uint8
+	cfg    EpochConfig
+	ab     *aborter
 }
 
-func newStageSink(addr string, cfg EpochConfig, ab *aborter) (*stageSink, error) {
+func newPushSink(addr string, method uint8, cfg EpochConfig, ab *aborter) (*pushSink, error) {
 	cl, err := cfg.dialCaller(addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial next hop: %w", err)
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &stageSink{cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
+	return &pushSink{cl: cl, addr: addr, method: method, cfg: cfg, ab: ab}, nil
 }
 
-func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
-	args := ForwardArgs{Stream: stream, Epoch: epoch, Batch: out}
-	var reply SubmitReply
-	err := s.cl.Call("Shuffler.Forward", args, &reply)
+func (s *pushSink) push(stream, epoch int64, out core.Batch) error {
+	_, err := s.cl.call(s.method, stream, epoch, out)
 	pol := s.cfg.redial()
 	redials := 0
 	for attempt := 0; err != nil && attempt < forwardRetries; attempt++ {
@@ -183,7 +122,7 @@ func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
 			if !s.ab.sleep(forwardDelay) {
 				return err
 			}
-			err = s.cl.Call("Shuffler.Forward", args, &reply)
+			_, err = s.cl.call(s.method, stream, epoch, out)
 			continue
 		}
 		if redials >= pol.attempts {
@@ -195,12 +134,12 @@ func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
 		redials++
 		cl, derr := s.cfg.dialCaller(s.addr)
 		if derr != nil {
-			err = fmt.Errorf("transport: redial next hop: %w", derr)
+			err = fmt.Errorf("transport: redial %s: %w", s.addr, derr)
 			continue
 		}
-		s.cl.Close()
+		s.cl.close()
 		s.cl = cl
-		err = s.cl.Call("Shuffler.Forward", args, &reply)
+		_, err = s.cl.call(s.method, stream, epoch, out)
 	}
 	if IsEpochFull(err) {
 		return fmt.Errorf("transport: next hop still epoch-full after %d retries "+
@@ -209,7 +148,7 @@ func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
 	return err
 }
 
-func (s *stageSink) close() error { return s.cl.Close() }
+func (s *pushSink) close() { s.cl.close() }
 
 // fanoutSink splits each processed epoch across a partitioned downstream
 // tier. Blinded envelopes route by the client-stamped owning partition
@@ -254,14 +193,10 @@ func (f *fanoutSink) push(stream, epoch int64, out core.Batch) error {
 	return nil
 }
 
-func (f *fanoutSink) close() error {
-	var first error
+func (f *fanoutSink) close() {
 	for _, p := range f.parts {
-		if err := p.close(); err != nil && first == nil {
-			first = err
-		}
+		p.close()
 	}
-	return first
 }
 
 // contentPartition spreads a blob over m partitions by FNV-1a hash.
@@ -298,32 +233,19 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 	return split
 }
 
-// newAnalyzerTier builds the sink for a partitioned analyzer tier: a plain
-// analyzerSink for one address, a fanout over one analyzerSink per
-// partition otherwise.
-func newAnalyzerTier(addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
-	return newTier(addrs, func(addr string) (sink, error) {
-		return newAnalyzerSink(addr, cfg, ab)
-	})
-}
-
-// newStageTier builds the sink for a partitioned next-hop shuffler tier.
-func newStageTier(addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
-	return newTier(addrs, func(addr string) (sink, error) {
-		return newStageSink(addr, cfg, ab)
-	})
-}
-
-func newTier(addrs []string, dial func(string) (sink, error)) (sink, error) {
+// newTier builds the sink for a downstream tier pushed with method: a
+// plain pushSink for one address, a fanout over one per partition
+// otherwise.
+func newTier(addrs []string, method uint8, cfg EpochConfig, ab *aborter) (sink, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
 	}
 	if len(addrs) == 1 {
-		return dial(addrs[0])
+		return newPushSink(addrs[0], method, cfg, ab)
 	}
 	parts := make([]sink, len(addrs))
 	for i, addr := range addrs {
-		s, err := dial(addr)
+		s, err := newPushSink(addr, method, cfg, ab)
 		if err != nil {
 			for _, p := range parts[:i] {
 				p.close()
@@ -344,23 +266,16 @@ type ingestShard[T any] struct {
 // epoch is a cut batch traveling to the flusher. id is assigned at cut time
 // (before the WAL cut record), so a crash between cut and push replays the
 // epoch under the same id and downstream dedup stays exact. reply is non-nil
-// for forced (manual Flush / Drain) epochs.
+// for Drain epochs; an empty one is a pure barrier.
 type epoch[T any] struct {
-	batch      []T
-	id         int64
-	reply      chan flushResult
-	allowEmpty bool // Drain: an empty cut is a barrier, not an error
+	batch []T
+	id    int64
+	reply chan error
 }
 
-type flushResult struct {
-	stats shuffler.Stats
-	err   error
-}
-
-// forceReq asks the scheduler to cut the current epoch immediately.
+// forceReq asks the scheduler to cut the current epoch immediately (Drain).
 type forceReq struct {
-	reply      chan flushResult
-	allowEmpty bool
+	reply chan error
 	// forceDrop releases a below-floor epoch as Dropped (counted and
 	// WAL-resolved) instead of leaving it pending — the final-drain path
 	// for a deployment shutting down for good, where "pending forever" is
@@ -369,8 +284,13 @@ type forceReq struct {
 }
 
 // wireOps bundles the per-item operations an engine needs for its wire type:
-// arrival stamping, sequence extraction, and the durable (WAL) codec.
+// the batch kind it ingests and the accessors between core.Batch and its
+// item slice, arrival stamping, sequence extraction, and the durable (WAL)
+// codec.
 type wireOps[T any] struct {
+	kind  core.BatchKind
+	items func(b core.Batch) []T
+	batch func(items []T) core.Batch
 	// stamp records the arrival metadata a network service inevitably sees
 	// (the stage's first processing step strips it, §3.3): item i gets
 	// sequence number base+i+1 and the arrival time.
@@ -381,6 +301,9 @@ type wireOps[T any] struct {
 }
 
 var envelopeOps = wireOps[core.Envelope]{
+	kind:  core.KindEnvelopes,
+	items: func(b core.Batch) []core.Envelope { return b.Envelopes },
+	batch: func(items []core.Envelope) core.Batch { return core.Batch{Envelopes: items} },
 	stamp: stampEnvelopes,
 	seqOf: envelopeSeq,
 	enc:   func(e *core.Envelope, dst []byte) []byte { return e.AppendWire(dst) },
@@ -393,6 +316,9 @@ var envelopeOps = wireOps[core.Envelope]{
 }
 
 var blindedOps = wireOps[core.BlindedEnvelope]{
+	kind:  core.KindBlinded,
+	items: func(b core.Batch) []core.BlindedEnvelope { return b.Blinded },
+	batch: func(items []core.BlindedEnvelope) core.Batch { return core.Batch{Blinded: items} },
 	stamp: stampBlinded,
 	seqOf: blindedSeq,
 	enc:   func(e *core.BlindedEnvelope, dst []byte) []byte { return e.AppendWire(dst) },
@@ -407,8 +333,8 @@ var blindedOps = wireOps[core.BlindedEnvelope]{
 // engine is the reusable epoch machinery every stage daemon runs: sharded
 // ingestion with global sequence stamping, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
-// backpressure at MaxPending, a single in-order flusher feeding the stage
-// function, and an at-least-once push of each processed epoch into the sink.
+// backpressure at MaxPending, a single in-order flusher feeding the stage,
+// and an at-least-once push of each processed epoch into the sink.
 // It is generic over the ingested wire item (client envelopes for the plain
 // and SGX shufflers, blinded envelopes for the split-shuffler hops); the
 // stage's output travels as a core.Batch, so any stage can feed any sink.
@@ -421,13 +347,13 @@ var blindedOps = wireOps[core.BlindedEnvelope]{
 // is byte-identical), and re-pushes unresolved epochs under their original
 // (stream, epoch) pairs for downstream dedup to absorb.
 type engine[T any] struct {
-	process func([]T) (core.Batch, shuffler.Stats, error)
-	sink    sink
-	ops     wireOps[T]
-	floor   int
-	cfg     EpochConfig
-	wal     *wal
-	ab      *aborter
+	stage shuffler.Stage
+	sink  sink
+	ops   wireOps[T]
+	floor int
+	cfg   EpochConfig
+	wal   *wal
+	ab    *aborter
 
 	stream    int64 // id naming this engine's push stream for dedup; persisted in the WAL
 	epochID   atomic.Int64
@@ -451,7 +377,7 @@ type engine[T any] struct {
 	shards []ingestShard[T]
 
 	kick   chan struct{}  // occupancy crossed FlushAt
-	force  chan forceReq  // manual Flush / Drain
+	force  chan forceReq  // Drain
 	epochs chan *epoch[T] // scheduler -> flusher, cap InFlight
 	stop   chan struct{}  // close -> scheduler
 	done   chan struct{}  // flusher exited
@@ -478,18 +404,15 @@ type engine[T any] struct {
 }
 
 // newEngine wires an engine: cfg defaults and clamps applied, stream id
-// drawn (or recovered from the WAL), scheduler and flusher started. floor is
-// the stage's anonymity floor; snk receives every processed epoch and is
+// drawn (or recovered from the WAL), scheduler and flusher started. st's
+// Floor is the anonymity floor; snk receives every processed epoch and is
 // closed by close(); ab is shared with the sinks so Abort can interrupt an
 // in-flight push.
-func newEngine[T any](
-	cfg EpochConfig, floor int, snk sink, ab *aborter,
-	process func([]T) (core.Batch, shuffler.Stats, error),
-	ops wireOps[T],
-) (*engine[T], error) {
+func newEngine[T any](cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter, ops wireOps[T]) (*engine[T], error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
+	floor := st.Floor()
 	if floor <= 0 {
 		floor = 1
 	}
@@ -518,9 +441,6 @@ func newEngine[T any](
 	if cfg.InFlight <= 0 {
 		cfg.InFlight = 2
 	}
-	if ab == nil {
-		ab = newAborter()
-	}
 	stream, err := newStreamID()
 	if err != nil {
 		snk.close()
@@ -541,8 +461,7 @@ func newEngine[T any](
 			// the same (stream, epoch) pairs for downstream dedup.
 			stream = rec.stream
 		}
-		w, err = openWAL(cfg.WALDir, cfg.Shards, cfg.WALSync,
-			int64(cfg.WALSegmentBytes), stream, walStartGen(cfg.WALDir))
+		w, err = openWAL(cfg.WALDir, int64(cfg.WALSegmentBytes), stream, walStartGen(cfg.WALDir))
 		if err != nil {
 			snk.close()
 			return nil, err
@@ -557,21 +476,21 @@ func newEngine[T any](
 	}
 
 	e := &engine[T]{
-		process: process,
-		sink:    snk,
-		ops:     ops,
-		floor:   floor,
-		cfg:     cfg,
-		wal:     w,
-		ab:      ab,
-		stream:  stream,
-		start:   time.Now(),
-		shards:  make([]ingestShard[T], cfg.Shards),
-		kick:    make(chan struct{}, 1),
-		force:   make(chan forceReq),
-		epochs:  make(chan *epoch[T], cfg.InFlight),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		stage:  st,
+		sink:   snk,
+		ops:    ops,
+		floor:  floor,
+		cfg:    cfg,
+		wal:    w,
+		ab:     ab,
+		stream: stream,
+		start:  time.Now(),
+		shards: make([]ingestShard[T], cfg.Shards),
+		kick:   make(chan struct{}, 1),
+		force:  make(chan forceReq),
+		epochs: make(chan *epoch[T], cfg.InFlight),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	if rec != nil {
 		e.seq.Store(rec.seqMax)
@@ -605,27 +524,23 @@ func newEngine[T any](
 
 func (e *engine[T]) isKilled() bool { return e.ab.aborted() }
 
-// add stamps and ingests a submission, enforcing backpressure.
-func (e *engine[T]) add(items []T) error {
-	return e.ingest(items, false, 0, 0)
-}
+func (e *engine[T]) kind() core.BatchKind { return e.ops.kind }
 
-// addForward ingests a forwarded epoch from an upstream hop. With a WAL, the
-// items and the upstream (stream, epoch) dedup mark are persisted as one
-// fsynced record before this returns — the caller must only mark the pair as
-// seen (and ack upstream) after a nil return, so a crash can never keep the
-// mark without the items or vice versa.
-func (e *engine[T]) addForward(stream, epoch int64, items []T) error {
-	return e.ingest(items, true, stream, epoch)
-}
+func (e *engine[T]) config() EpochConfig { return e.cfg }
 
-// ingest stamps and appends a submission. The whole call takes one shard
-// lock: the shard is picked round-robin per call (not from the sequence
-// number, which advances by the batch size and would park every uniform-size
-// batch on one shard), so concurrent RPCs spread across shards while each
-// RPC stays a single append. With a WAL, the items are logged under the same
-// shard lock, so "in the log" and "visible to the next cut" are atomic.
-func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error {
+// addForward stamps and ingests one submission — a client batch or an
+// upstream hop's epoch, identified by its (stream, epoch-or-seq) dedup
+// stamp — enforcing backpressure. The whole call takes one shard lock: the
+// shard is picked round-robin per call (not from the sequence number, which
+// advances by the batch size and would park every uniform-size batch on one
+// shard), so concurrent RPCs spread across shards while each RPC stays a
+// single append. With a WAL, the items and the stamp are persisted as one
+// fsynced record under the same shard lock before this returns, so "in the
+// log" and "visible to the next cut" are atomic — and the caller must only
+// mark the stamp as seen (and ack upstream) after a nil return, so a crash
+// can never keep the mark without the items or vice versa.
+func (e *engine[T]) addForward(stream, epoch int64, b core.Batch) error {
+	items := e.ops.items(b)
 	if len(items) == 0 {
 		return nil
 	}
@@ -645,18 +560,12 @@ func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error
 		e.occupancy.Add(n)
 	}
 	e.ops.stamp(items, time.Now(), e.seq.Add(n)-n)
-	idx := int(uint64(e.shardRR.Add(1)) % uint64(len(e.shards)))
-	shard := &e.shards[idx]
+	shard := &e.shards[int(uint64(e.shardRR.Add(1))%uint64(len(e.shards)))]
 	shard.mu.Lock()
 	if e.wal != nil {
-		seqFn := func(i int) int64 { return int64(e.ops.seqOf(&items[i])) }
-		encFn := func(i int, dst []byte) []byte { return e.ops.enc(&items[i], dst) }
-		var werr error
-		if fwd {
-			werr = e.wal.appendForward(fwdStream, fwdEpoch, len(items), seqFn, encFn)
-		} else {
-			werr = e.wal.appendItems(idx, len(items), seqFn, encFn)
-		}
+		werr := e.wal.appendForward(stream, epoch, len(items),
+			func(i int) int64 { return int64(e.ops.seqOf(&items[i])) },
+			func(i int, dst []byte) []byte { return e.ops.enc(&items[i], dst) })
 		if werr != nil {
 			shard.mu.Unlock()
 			// Durability was promised but cannot be provided: refuse the
@@ -799,27 +708,17 @@ func (e *engine[T]) scheduler() {
 				}
 			}
 		case req := <-e.force:
-			switch batch := e.cutFloor(); {
-			case batch != nil:
-				e.sendEpoch(&epoch[T]{batch: batch, reply: req.reply, allowEmpty: req.allowEmpty})
-			case req.forceDrop:
-				// Final drain: the anonymity floor forbids forwarding a
-				// below-floor epoch, and the caller has declared no more
-				// traffic is coming to grow it — release it as Dropped
-				// (counted, WAL-resolved) instead of leaking it as
-				// pending forever, then barrier.
+			// A below-floor epoch stays pending (it may yet grow past the
+			// floor) and the drain sends a pure barrier — unless it is the
+			// final drain: the anonymity floor forbids forwarding it and the
+			// caller has declared no more traffic is coming to grow it, so
+			// it is released as Dropped (counted, WAL-resolved) instead of
+			// leaking as pending forever.
+			batch := e.cutFloor()
+			if batch == nil && req.forceDrop {
 				e.dropCut(e.cut())
-				e.sendEpoch(&epoch[T]{reply: req.reply, allowEmpty: true})
-			case req.allowEmpty:
-				// Drain of a below-floor epoch: leave it pending (it may
-				// yet grow past the floor) and send a pure barrier.
-				e.sendEpoch(&epoch[T]{reply: req.reply, allowEmpty: true})
-			default:
-				// Flush of a below-floor epoch: refuse without destroying
-				// the pending reports — they keep accumulating.
-				req.reply <- flushResult{err: fmt.Errorf("%w: %d < %d",
-					shuffler.ErrBatchTooSmall, e.occupancy.Load(), e.floor)}
 			}
+			e.sendEpoch(&epoch[T]{batch: batch, reply: req.reply})
 		}
 	}
 }
@@ -865,17 +764,16 @@ func (e *engine[T]) flusher() {
 // flushOne processes and pushes a single epoch, then resolves it in the WAL
 // (ack on delivery, drop on permanent failure) and updates the counters.
 func (e *engine[T]) flushOne(ep *epoch[T]) {
-	var res flushResult
-	if len(ep.batch) == 0 && ep.allowEmpty {
-		// A Drain barrier: every earlier epoch has been flushed.
-	} else {
+	var stats shuffler.Stats
+	var err error
+	if len(ep.batch) > 0 { // an empty epoch is a Drain barrier
 		var out core.Batch
 		procStart := time.Now()
-		out, res.stats, res.err = e.process(ep.batch)
+		out, stats, err = e.stage.ProcessEpoch(e.ops.batch(ep.batch))
 		observeSeconds(e.procSeconds, procStart)
-		if res.err == nil {
+		if err == nil {
 			pushStart := time.Now()
-			res.err = e.sink.push(e.stream, ep.id, out)
+			err = e.sink.push(e.stream, ep.id, out)
 			observeSeconds(e.pushSeconds, pushStart)
 		}
 		if e.isKilled() {
@@ -886,49 +784,50 @@ func (e *engine[T]) flushOne(ep *epoch[T]) {
 			return
 		}
 		if e.wal != nil {
-			e.wal.resolve(ep.id, res.err == nil)
+			e.wal.resolve(ep.id, err == nil)
 		}
 	}
 	e.mu.Lock()
 	e.queuedEpochs--
-	if res.err != nil {
+	if err != nil {
 		e.epochsFailed++
-		e.lastErr = res.err
+		e.lastErr = err
 		e.dropped.Add(int64(len(ep.batch)))
 	} else if len(ep.batch) > 0 {
 		e.epochsFlushed++
-		e.cum.Received += res.stats.Received
-		e.cum.Undecryptable += res.stats.Undecryptable
-		e.cum.Crowds += res.stats.Crowds
-		e.cum.CrowdsForwarded += res.stats.CrowdsForwarded
-		e.cum.Forwarded += res.stats.Forwarded
+		e.cum.Received += stats.Received
+		e.cum.Undecryptable += stats.Undecryptable
+		e.cum.Crowds += stats.Crowds
+		e.cum.CrowdsForwarded += stats.CrowdsForwarded
+		e.cum.Forwarded += stats.Forwarded
 	}
 	e.mu.Unlock()
 	if ep.reply != nil {
-		ep.reply <- res
+		ep.reply <- err
 	}
 }
 
-// forceFlush cuts the current epoch immediately and waits for it (and every
-// earlier queued epoch) to be flushed. forceDrop additionally releases a
-// below-floor cut as Dropped instead of leaving it pending (final drain).
-func (e *engine[T]) forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, error) {
+// forceFlush cuts the current epoch if it meets the anonymity floor and
+// waits for it (and every earlier queued epoch) to be flushed. forceDrop
+// additionally releases a below-floor cut as Dropped instead of leaving it
+// pending (final drain).
+func (e *engine[T]) forceFlush(forceDrop bool) error {
 	if e.closed.Load() {
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	}
-	req := forceReq{reply: make(chan flushResult, 1), allowEmpty: allowEmpty, forceDrop: forceDrop}
+	req := forceReq{reply: make(chan error, 1), forceDrop: forceDrop}
 	select {
 	case e.force <- req:
 	case <-e.stop:
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	case <-e.ab.ch:
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	}
 	select {
-	case res := <-req.reply:
-		return res.stats, res.err
+	case err := <-req.reply:
+		return err
 	case <-e.ab.ch:
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	}
 }
 
@@ -982,7 +881,7 @@ func (e *engine[T]) close() error {
 		return nil
 	}
 	// Report only failures from the drain itself (epochs still queued or
-	// cut now); earlier failures were already surfaced to Flush/Drain/Stats
+	// cut now); earlier failures were already surfaced to Drain/Stats
 	// callers and must not turn a clean shutdown into an error.
 	e.mu.Lock()
 	failedBefore := e.epochsFailed
@@ -995,9 +894,7 @@ func (e *engine[T]) close() error {
 		err = e.lastErr
 	}
 	e.mu.Unlock()
-	if cerr := e.sink.close(); err == nil {
-		err = cerr
-	}
+	e.sink.close()
 	if e.wal != nil {
 		wipe := e.occupancy.Load() == 0 && e.wal.unresolvedCount() == 0
 		if werr := e.wal.close(wipe); err == nil {

@@ -53,7 +53,7 @@ func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingR
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: minBatch,
 	}
-	svc, err := NewStreamingShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String(), cfg)
+	svc, err := NewStageShufflerFleetService(sh, shufPriv.Public().Bytes(), []string{anlzL.Addr().String()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func (r *streamingRig) envelope(t testing.TB, crowd, value string) core.Envelope
 }
 
 // TestSubmitBatchRPC ships a whole batch in one round trip and checks it
-// lands intact next to single-Submit traffic (the compatibility path).
+// lands intact next to one-envelope batch traffic.
 func TestSubmitBatchRPC(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 	cl, err := Dial(rig.shuf)
@@ -100,7 +100,7 @@ func TestSubmitBatchRPC(t *testing.T) {
 	if err := cl.SubmitBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(rig.envelope(t, "c:single", "single-value")); err != nil {
+	if err := cl.SubmitBatch([]core.Envelope{rig.envelope(t, "c:single", "single-value")}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := cl.Stats()
@@ -237,7 +237,7 @@ func TestBackpressureEpochFull(t *testing.T) {
 	if err := cl.SubmitBatch(full); err != nil {
 		t.Fatal(err)
 	}
-	err = cl.Submit(env)
+	err = cl.SubmitBatch([]core.Envelope{env})
 	if !IsEpochFull(err) {
 		t.Fatalf("submit over MaxPending: err = %v, want epoch-full", err)
 	}
@@ -256,32 +256,15 @@ func TestBackpressureEpochFull(t *testing.T) {
 	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(env); err != nil {
+	if err := cl.SubmitBatch([]core.Envelope{env}); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
 }
 
-// TestFlushVsDrainSemantics: manual Flush on an empty epoch fails (the
-// anonymity floor), while Drain succeeds as a barrier.
-func TestFlushVsDrainSemantics(t *testing.T) {
-	rig := newStreamingRig(t, EpochConfig{})
-	cl, err := Dial(rig.shuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Flush(); !IsBatchTooSmall(err) {
-		t.Errorf("empty Flush err = %v, want batch-too-small", err)
-	}
-	if _, err := cl.Drain(); err != nil {
-		t.Errorf("empty Drain err = %v, want nil (barrier)", err)
-	}
-}
-
-// TestBelowFloorEpochPreserved: neither Flush nor Drain may destroy a
-// pending epoch smaller than the shuffler's minimum batch — the reports
-// must keep accumulating until they can legitimately be forwarded, and the
-// refusals must not pollute the failure stats.
+// TestBelowFloorEpochPreserved: Drain must not destroy a pending epoch
+// smaller than the shuffler's minimum batch — the reports must keep
+// accumulating until they can legitimately be forwarded, and the refused
+// cut must not pollute the failure stats.
 func TestBelowFloorEpochPreserved(t *testing.T) {
 	rig := newStreamingRigMin(t, EpochConfig{}, 5)
 	cl, err := Dial(rig.shuf)
@@ -294,15 +277,12 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 	if err := cl.SubmitBatch([]core.Envelope{env, env, env}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Flush(); !IsBatchTooSmall(err) {
-		t.Fatalf("below-floor Flush err = %v, want batch-too-small", err)
-	}
 	stats, err := cl.Drain()
 	if err != nil {
 		t.Fatalf("below-floor Drain err = %v, want nil (barrier)", err)
 	}
 	if stats.Pending != 3 {
-		t.Fatalf("pending after refused flushes = %d, want 3 (reports preserved)", stats.Pending)
+		t.Fatalf("pending after a below-floor drain = %d, want 3 (reports preserved)", stats.Pending)
 	}
 	if stats.EpochsFailed != 0 {
 		t.Fatalf("epochs failed = %d (%s), refusals must not pollute stats", stats.EpochsFailed, stats.LastError)
@@ -312,12 +292,13 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 	if err := cl.SubmitBatch([]core.Envelope{env, env}); err != nil {
 		t.Fatal(err)
 	}
-	flushStats, err := cl.Flush()
+	stats, err = cl.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flushStats.Received != 5 {
-		t.Errorf("flushed epoch received = %d, want all 5 preserved reports", flushStats.Received)
+	if stats.EpochsFlushed != 1 || stats.Cumulative.Received != 5 {
+		t.Errorf("drained epochs = %d receiving %d, want one epoch of all 5 preserved reports",
+			stats.EpochsFlushed, stats.Cumulative.Received)
 	}
 	ac, err := DialAnalyzer(rig.anlz)
 	if err != nil {
@@ -351,7 +332,7 @@ func TestCloseDrainsFinalEpoch(t *testing.T) {
 	if err := rig.svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(env); err == nil {
+	if err := cl.SubmitBatch([]core.Envelope{env}); err == nil {
 		t.Error("submit after Close succeeded, want error")
 	}
 	ac, err := DialAnalyzer(rig.anlz)

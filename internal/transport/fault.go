@@ -5,16 +5,19 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"prochlo/internal/core"
 )
 
-// caller is the slice of *rpc.Client the push sinks use. Sinks dial through
-// EpochConfig.dialCaller, which wraps the client with the configured
-// FaultPlan — fault injection sits below the retry/redial logic, exactly
-// where a flaky network would, so the recovery machinery is exercised by the
-// same code paths production runs.
+// caller is the typed data-plane push the sinks use: one framed request
+// (method id, dedup stamp, batch) answered with an accepted count. *wireConn
+// implements it; sinks dial through EpochConfig.dialCaller, which wraps the
+// connection with the configured FaultPlan — fault injection sits below the
+// retry/redial logic, exactly where a flaky network would, so the recovery
+// machinery is exercised by the same code paths production runs.
 type caller interface {
-	Call(serviceMethod string, args any, reply any) error
-	Close() error
+	call(method uint8, stream, pos int64, b core.Batch) (int, error)
+	close()
 }
 
 // Redial policy defaults (see EpochConfig.RedialAttempts/RedialBase/
@@ -106,7 +109,7 @@ func (a *aborter) sleep(d time.Duration) bool {
 }
 
 // FaultPlan injects failures into a stage's downstream pushes on a seeded
-// schedule, for crash-recovery testing (EpochConfig.Fault). Each RPC draws
+// schedule, for crash-recovery testing (EpochConfig.Fault). Each push draws
 // one fault mode from the plan's deterministic stream; the plan is shared
 // across redialed connections so the schedule keeps advancing through
 // reconnects. The modes mirror the failures a real chain sees:
@@ -248,41 +251,38 @@ var errInjectedAckLoss = errors.New("transport: injected fault: ack dropped")
 var errInjectedKill = errors.New("transport: injected fault: replica killed")
 var errInjectedPartition = errors.New("transport: injected fault: network partitioned")
 
-// faultCaller applies one drawn fault per Call.
+// faultCaller applies one drawn fault per call.
 type faultCaller struct {
 	plan *FaultPlan
 	c    caller
 }
 
-func (f *faultCaller) Call(serviceMethod string, args any, reply any) error {
+func (f *faultCaller) call(method uint8, stream, pos int64, b core.Batch) (int, error) {
 	if f.plan.partitioned() {
-		return errInjectedPartition
+		return 0, errInjectedPartition
 	}
 	switch f.plan.draw() {
 	case faultKill:
 		f.plan.invokeKill()
-		return errInjectedKill
+		return 0, errInjectedKill
 	case faultPartition:
 		f.plan.openPartition()
-		return errInjectedPartition
+		return 0, errInjectedPartition
 	case faultError:
-		return errInjectedDrop
+		return 0, errInjectedDrop
 	case faultDropAck:
-		if err := f.c.Call(serviceMethod, args, reply); err != nil {
-			return err
+		if _, err := f.c.call(method, stream, pos, b); err != nil {
+			return 0, err
 		}
-		return errInjectedAckLoss
+		return 0, errInjectedAckLoss
 	case faultDup:
-		if err := f.c.Call(serviceMethod, args, reply); err != nil {
-			return err
+		if _, err := f.c.call(method, stream, pos, b); err != nil {
+			return 0, err
 		}
-		return f.c.Call(serviceMethod, args, reply)
 	case faultDelay:
 		time.Sleep(f.plan.Delay)
-		return f.c.Call(serviceMethod, args, reply)
-	default:
-		return f.c.Call(serviceMethod, args, reply)
 	}
+	return f.c.call(method, stream, pos, b)
 }
 
-func (f *faultCaller) Close() error { return f.c.Close() }
+func (f *faultCaller) close() { f.c.close() }

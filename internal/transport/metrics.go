@@ -90,9 +90,7 @@ func (w *wal) attachMetrics(reg *metrics.Registry, l metrics.Labels) {
 		"Item and forward records appended to the write-ahead log.", l)
 	h := reg.Histogram("prochlo_wal_fsync_seconds",
 		"Latency of one WAL segment fsync.", l, metrics.FsyncBuckets)
-	for _, s := range w.shards {
-		s.fsync = h
-	}
+	w.items.fsync = h
 	w.fwd.fsync = h
 	w.epochLog.fsync = h
 }

@@ -72,7 +72,7 @@ func (r *crashRig) start() {
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: 1,
 	}
-	svc, err := NewStreamingShufflerService(sh, r.shufPriv.Public().Bytes(), r.anlz, r.cfg)
+	svc, err := NewStageShufflerFleetService(sh, r.shufPriv.Public().Bytes(), []string{r.anlz}, r.cfg)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -94,8 +94,7 @@ func (r *crashRig) submit(n int, value string) {
 	for i := range batch {
 		batch[i] = r.envelope("c:"+value, value)
 	}
-	var reply SubmitReply
-	if err := r.svc.SubmitBatch(SubmitBatchArgs{Envelopes: batch}, &reply); err != nil {
+	if _, err := r.svc.serveWire(wireSubmitBatch, 0, 0, core.Batch{Envelopes: batch}); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -275,12 +274,12 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	walDir := t.TempDir()
-	newHop2 := func() *BlindedShufflerService {
+	newHop2 := func() *ShufflerService {
 		s2 := &shuffler.Shuffler2{
 			Blinding: blindKP, Priv: s2Priv,
 			Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
 		}
-		svc, err := NewShuffler2Service(s2, anlzL.Addr().String(), EpochConfig{WALDir: walDir})
+		svc, err := NewShuffler2FleetService(s2, []string{anlzL.Addr().String()}, EpochConfig{WALDir: walDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,13 +300,13 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	args := ForwardArgs{Stream: 9, Epoch: 1, Batch: core.Batch{Blinded: envs}}
-	var reply SubmitReply
-	if err := svc.Forward(args, &reply); err != nil {
+	batch := core.Batch{Blinded: envs}
+	accepted, err := svc.serveWire(wireForward, 9, 1, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Accepted != 3 {
-		t.Fatalf("first forward accepted = %d, want 3", reply.Accepted)
+	if accepted != 3 {
+		t.Fatalf("first forward accepted = %d, want 3", accepted)
 	}
 
 	// Hop 2 dies before flushing; the upstream never saw the ack and retries
@@ -322,11 +321,11 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 	if stats.RecoveredItems != 3 || stats.Pending != 3 {
 		t.Fatalf("post-restart stats = %+v, want the 3 forwarded reports pending", stats)
 	}
-	if err := svc.Forward(args, &reply); err != nil {
+	if accepted, err = svc.serveWire(wireForward, 9, 1, batch); err != nil {
 		t.Fatal(err)
 	}
-	if reply.Accepted != 3 {
-		t.Fatalf("retried forward accepted = %d, want 3 (idempotent ack across restart)", reply.Accepted)
+	if accepted != 3 {
+		t.Fatalf("retried forward accepted = %d, want 3 (idempotent ack across restart)", accepted)
 	}
 
 	var drained ServiceStats
@@ -351,12 +350,11 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 func TestReconciliationWithDrops(t *testing.T) {
 	fault := &FaultPlan{Seed: 3, PError: 1} // every push fails
 	rig := newStreamingRig(t, EpochConfig{FlushAt: 1000, Fault: fault, RedialAttempts: -1})
-	var reply SubmitReply
 	batch := make([]core.Envelope, 6)
 	for i := range batch {
 		batch[i] = rig.envelope(t, "c:drop", "drop-value")
 	}
-	if err := rig.svc.SubmitBatch(SubmitBatchArgs{Envelopes: batch}, &reply); err != nil {
+	if _, err := rig.svc.serveWire(wireSubmitBatch, 0, 0, core.Batch{Envelopes: batch}); err != nil {
 		t.Fatal(err)
 	}
 	var drained ServiceStats

@@ -1,22 +1,24 @@
 // Package transport runs the ESA stages as separate networked services —
 // the deployment shape of Figure 1, where encoders, shufflers, and analyzers
-// are distinct long-lived parties connected by RPC. It uses net/rpc with gob
-// encoding over TCP (the stdlib stand-in for the paper's gRPC).
+// are distinct long-lived parties connected over TCP (the stdlib stand-in
+// for the paper's gRPC). Report batches travel on a framed binary data
+// plane (wire.go); control calls (keys, health, stats, drain barriers,
+// attestation, histograms) ride net/rpc on the same listener.
 //
 // # Stage topology
 //
-// Every shuffler variant runs on the same epoch engine (see engine.go): a
-// service ingests wire items, cuts them into epochs, processes each epoch
-// through its shuffler.Stage, and pushes the output to a downstream sink.
-// Because stage output travels as the shared core.Batch wire union, the
-// downstream can be an analyzer (Analyzer.Ingest) or another shuffler hop
-// (Shuffler.Forward), so the split-shuffler chain of §4.3 deploys as real
-// networked daemons:
+// Every shuffler runs on the same epoch engine (see engine.go): a service
+// ingests wire items, cuts them into epochs, processes each epoch through
+// its shuffler.Stage, and pushes the output to a downstream sink. Because
+// stage output travels as the shared core.Batch wire union, the downstream
+// can be an analyzer or another shuffler hop, so the split-shuffler chain of
+// §4.3 deploys as real networked daemons:
 //
 //	clients -> Shuffler1 daemon -> Shuffler2 daemon -> analyzer daemon
 //
-// ShufflerService is the single-shuffler hop (plain or SGX stage);
-// BlindedShufflerService (blinded.go) is either hop of the split chain.
+// ShufflerService is every shuffler role: the single-shuffler hop (plain or
+// SGX stage) and either hop of the split chain; the role decides which batch
+// kind it ingests and which keys it serves.
 // Inter-hop pushes are at-least-once and deduplicated by (stream, epoch);
 // downstream epoch-full backpressure propagates upstream because the pushing
 // flusher blocks, its in-flight queue fills, and the hop starts rejecting
@@ -46,10 +48,10 @@
 //
 // # Durability
 //
-// With EpochConfig.WALDir set, a service is crash-safe: every accepted item
-// is appended to a per-shard write-ahead log before the submission RPC is
-// acknowledged, every cut epoch's membership is persisted before it is
-// pushed, and segments are reclaimed only once their epochs are pushed and
+// With EpochConfig.WALDir set, a service is crash-safe: every submission is
+// appended to a write-ahead log, as one fsynced record carrying its items
+// and dedup stamp, before it is acknowledged, every cut epoch's membership
+// is persisted before it is pushed, and segments are reclaimed only once their epochs are pushed and
 // acked downstream. A restarted daemon recovers the directory — same stream
 // id, pending items with their sequence stamps, unresolved epochs re-pushed
 // under their original (stream, epoch) pairs — so the at-least-once push
@@ -57,12 +59,8 @@
 // wal.go for the log format and EXPERIMENTS.md for a kill-and-restart
 // walkthrough.
 //
-// # Compatibility
+// # Shutdown
 //
-// Submit (one envelope per round trip) and the manual Flush RPC are kept as
-// the reference paths; SubmitBatch ships many envelopes per round trip and
-// is what production clients should use. A zero EpochConfig disables the
-// scheduler entirely, reproducing the original submit-then-Flush behavior.
 // Close drains: it cuts the final epoch, waits for every queued epoch to be
 // flushed downstream, and only then releases the downstream connection.
 package transport
@@ -86,60 +84,6 @@ import (
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 )
-
-// SubmitArgs is a client's single-report submission (the reference path;
-// batch traffic should use SubmitBatchArgs).
-type SubmitArgs struct {
-	Envelope core.Envelope
-}
-
-// SubmitBatchArgs ships many envelopes in one RPC round trip. The slice is
-// gob-encoded as-is, so a client can hand over encoder.EncodeBatch output
-// (all blobs carved from one backing buffer) without copying.
-//
-// Stream and Seq identify the submission for dedup, exactly like
-// ForwardArgs: a client that retries a batch after an ambiguous connection
-// error (the ack may have been lost after the service ingested) stamps the
-// retry with the same pair, and the service acknowledges it without
-// re-ingesting. With a WAL the mark is persisted atomically with the items,
-// so the dedup survives a service restart. Zero values skip dedup.
-type SubmitBatchArgs struct {
-	Envelopes []core.Envelope
-	Stream    int64
-	Seq       int64
-}
-
-// SubmitBlindedBatchArgs ships many split-shuffler envelopes in one RPC
-// round trip (the client entry of the §4.3 chain, ingested by Shuffler 1).
-// Stream/Seq dedup retried submissions; see SubmitBatchArgs.
-type SubmitBlindedBatchArgs struct {
-	Envelopes []core.BlindedEnvelope
-	Stream    int64
-	Seq       int64
-}
-
-// SubmitReply acknowledges accepted submissions.
-type SubmitReply struct {
-	Accepted int
-}
-
-// ForwardArgs moves one processed epoch between stage daemons: Shuffler 1
-// pushing its blinded-and-shuffled epoch to Shuffler 2, or any future hop
-// pair — the Batch union carries whichever wire kind the receiving stage
-// ingests. Stream and Epoch identify the push for dedup: inter-hop pushes
-// are at-least-once (a reply can be lost after ingestion), so the receiver
-// drops a (Stream, Epoch) pair it has already ingested. Zero values skip
-// dedup.
-type ForwardArgs struct {
-	Stream int64
-	Epoch  int64
-	Batch  core.Batch
-}
-
-// FlushReply reports a processed epoch's selectivity.
-type FlushReply struct {
-	Stats shuffler.Stats
-}
 
 // DrainArgs selects the drain mode. Force releases a below-floor final
 // epoch as Dropped (counted in ServiceStats.Dropped and WAL-resolved, so
@@ -166,7 +110,8 @@ type HealthzReply struct {
 	Peers      []string
 }
 
-// KeyReply carries a service's public key bytes.
+// KeyReply carries a service's public key bytes (Shuffler.PublicKey,
+// Analyzer.PublicKey).
 type KeyReply struct {
 	Key []byte
 }
@@ -234,18 +179,12 @@ func IsEpochFull(err error) bool {
 	return err != nil && strings.Contains(err.Error(), errEpochFullMsg)
 }
 
-// IsBatchTooSmall reports whether err is shuffler.ErrBatchTooSmall,
-// including its string-typed form after an RPC round trip.
-func IsBatchTooSmall(err error) bool {
-	return err != nil && strings.Contains(err.Error(), shuffler.ErrBatchTooSmall.Error())
-}
-
 // ErrClosed is returned by submissions to a service that has been Closed.
 var ErrClosed = errors.New("transport: shuffler service closed")
 
 // EpochConfig tunes a stage service's streaming behavior. The zero value
-// disables the scheduler: nothing auto-flushes and batches are only
-// processed by an explicit Flush (the original one-shot behavior).
+// disables the scheduler: nothing auto-flushes and epochs are cut only by a
+// Drain (or the final cut of Close).
 type EpochConfig struct {
 	// FlushAt cuts an epoch as soon as occupancy reaches this many items.
 	// 0 disables occupancy-driven flushing.
@@ -268,26 +207,17 @@ type EpochConfig struct {
 	// DialTimeout bounds connecting to the downstream peer (construction
 	// and redials). 0 selects DefaultDialTimeout.
 	DialTimeout time.Duration
-	// Wire selects the data-plane protocol for downstream pushes: the
-	// framed binary codec (the zero value, with per-connection fallback to
-	// gob when the peer does not speak it) or plain gob. See wire.go.
-	Wire WireMode
 	// WireTimeout bounds one downstream data-plane call end to end, so a
 	// hung peer becomes a retryable fault instead of a stuck flusher.
 	// 0 selects DefaultWireTimeout; negative disables the bound.
 	WireTimeout time.Duration
-	// WALDir enables the write-ahead log: accepted items are persisted to
-	// this directory before submissions are acknowledged, and a restart
+	// WALDir enables the write-ahead log: every submission is persisted to
+	// this directory (one fsync each) before it is acknowledged, and a restart
 	// over the same directory recovers pending items, resumes unresolved
 	// epoch pushes under the same (stream, epoch) ids, and restores the
 	// forward dedup marks — making the at-least-once push chain
 	// exactly-once across process crashes. Empty disables durability.
 	WALDir string
-	// WALSync is the fsync cadence for item records: sync after every N
-	// append calls. 0 (the default) syncs every append — full durability;
-	// larger values trade the tail of accepted-but-unsynced submissions
-	// for throughput. Cut records and forward ingests always sync.
-	WALSync int
 	// WALSegmentBytes rotates WAL segment files at this size so resolved
 	// epochs' records can be reclaimed. 0 selects DefaultWALSegmentBytes.
 	WALSegmentBytes int
@@ -353,13 +283,9 @@ func (d *forwardDedup) restore(marks [][2]int64) {
 // acknowledged without re-ingesting, a key mid-ingest by a concurrent
 // delivery is waited out, and only a successful add marks the key. Pushes
 // with a zero (stream, epoch) skip dedup entirely.
-func (d *forwardDedup) ingest(stream, epoch int64, n int, reply *SubmitReply, add func() error) error {
+func (d *forwardDedup) ingest(stream, epoch int64, add func() error) error {
 	if stream == 0 && epoch == 0 {
-		if err := add(); err != nil {
-			return err
-		}
-		reply.Accepted = n
-		return nil
+		return add()
 	}
 	key := [2]int64{stream, epoch}
 	d.mu.Lock()
@@ -371,7 +297,6 @@ func (d *forwardDedup) ingest(stream, epoch int64, n int, reply *SubmitReply, ad
 	}
 	if d.seen[key] {
 		d.mu.Unlock()
-		reply.Accepted = n
 		return nil
 	}
 	if d.busy == nil {
@@ -392,21 +317,55 @@ func (d *forwardDedup) ingest(stream, epoch int64, n int, reply *SubmitReply, ad
 	}
 	d.cond.Broadcast()
 	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	reply.Accepted = n
-	return nil
+	return err
 }
 
-// ShufflerService exposes a single-shuffler stage over RPC — the plain
-// trusted shuffler or the SGX-hardened variant, both ingesting client
-// envelopes and pushing peeled payloads to an analyzer service. See the
-// package comment for the epoch/backpressure model.
+// stageEngine is ShufflerService's view of its epoch engine: everything the
+// RPC surface needs, with the engine's ingested item type hidden behind
+// core.Batch (see wireOps).
+type stageEngine interface {
+	kind() core.BatchKind
+	addForward(stream, pos int64, b core.Batch) error
+	forceFlush(forceDrop bool) error
+	stats(reply *ServiceStats)
+	healthz(reply *HealthzReply)
+	config() EpochConfig
+	close() error
+	abort()
+}
+
+// ShufflerService exposes one shuffler role over the network. Every role
+// runs the same epoch engine and differs only in stage, ingested batch kind,
+// sink, and served keys:
+//
+//   - the single shuffler (NewStageShufflerFleetService: the plain trusted
+//     shuffler or the SGX-hardened variant) ingests client envelopes,
+//     pushes peeled payloads to the analyzer tier, and serves its key over
+//     Shuffler.PublicKey (plus a quote over Shuffler.Attestation under SGX);
+//   - the shuffler1 hop of the §4.3 chain (NewShuffler1FleetService)
+//     ingests client blinded envelopes, blinds and shuffles each epoch, and
+//     forwards it to the shuffler2 tier; it holds no keys;
+//   - the shuffler2 hop (NewShuffler2FleetService) ingests forwarded
+//     blinded epochs, thresholds on blinded pseudonyms, peels its layer,
+//     pushes the surviving inner ciphertexts to the analyzer tier, and
+//     serves the chain's client key material over Shuffler.Keys.
+//
+// Client submissions and upstream pushes arrive on the binary data plane
+// and land in one handler: a batch of the wrong kind is refused, and every
+// stamped (stream, seq-or-epoch) delivery is ingested at most once.
+// Backpressure composes across a chain: when hop 2 rejects a forward as
+// epoch-full, hop 1's flusher backs off and retries, its in-flight queue
+// fills, and hop 1 starts rejecting its own clients with the same retryable
+// error. See the package comment for the epoch/backpressure model.
 type ShufflerService struct {
-	eng *engine[core.Envelope]
-	pub []byte
+	eng stageEngine
 	fwd forwardDedup
+
+	// Key material served to clients; which fields are set depends on the
+	// role (see the type comment).
+	pub         []byte // PublicKey: the single shuffler's hybrid key
+	blindingPub []byte // Keys: shuffler2's El Gamal blinding key
+	hybridPub   []byte // Keys: shuffler2's hybrid key
 
 	attMu sync.Mutex
 	att   *AttestationReply
@@ -416,49 +375,87 @@ type ShufflerService struct {
 	peers      []string
 }
 
-// NewShufflerService wraps a shuffler whose output is pushed to the
-// analyzer service at analyzerAddr, with manual flushing only (zero
-// EpochConfig); use NewStreamingShufflerService for the epoch scheduler.
-func NewShufflerService(sh *shuffler.Shuffler, pub []byte, analyzerAddr string) (*ShufflerService, error) {
-	return NewStreamingShufflerService(sh, pub, analyzerAddr, EpochConfig{})
-}
-
-// NewStreamingShufflerService wraps a plain shuffler whose epochs are pushed
-// to the analyzer service at analyzerAddr according to cfg. The caller
-// should Close the service to drain and release the analyzer connection.
-func NewStreamingShufflerService(sh *shuffler.Shuffler, pub []byte, analyzerAddr string, cfg EpochConfig) (*ShufflerService, error) {
-	return NewStageShufflerService(sh, pub, analyzerAddr, cfg)
-}
-
-// NewStageShufflerService wraps any envelope-ingesting stage (the plain
-// Shuffler or an SGXShuffler) whose epochs are pushed to the analyzer
-// service at analyzerAddr according to cfg. pub is the key served to
-// clients over Shuffler.PublicKey.
-func NewStageShufflerService(st shuffler.Stage, pub []byte, analyzerAddr string, cfg EpochConfig) (*ShufflerService, error) {
-	return NewStageShufflerFleetService(st, pub, []string{analyzerAddr}, cfg)
-}
-
-// NewStageShufflerFleetService is NewStageShufflerService for a partitioned
-// analyzer tier: each processed epoch is split across analyzerAddrs by
-// content hash and pushed to every non-empty partition, with per-partition
-// (stream, epoch) dedup keeping the fan-in exactly-once.
-func NewStageShufflerFleetService(st shuffler.Stage, pub []byte, analyzerAddrs []string, cfg EpochConfig) (*ShufflerService, error) {
+// newShufflerService wires any role: an engine over st ingesting ops' item
+// type, pushing each processed epoch to nextAddrs with the frame method.
+// Several addresses form a partitioned downstream tier (see fanoutSink).
+func newShufflerService[T any](st shuffler.Stage, ops wireOps[T], nextAddrs []string, method uint8, cfg EpochConfig) (*ShufflerService, error) {
 	ab := newAborter()
-	snk, err := newAnalyzerTier(analyzerAddrs, cfg, ab)
+	snk, err := newTier(nextAddrs, method, cfg, ab)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(cfg, st.Floor(), snk, ab,
-		func(batch []core.Envelope) (core.Batch, shuffler.Stats, error) {
-			return st.ProcessEpoch(core.Batch{Envelopes: batch})
-		},
-		envelopeOps)
+	eng, err := newEngine(cfg, st, snk, ab, ops)
 	if err != nil {
 		return nil, err
 	}
-	svc := &ShufflerService{eng: eng, pub: pub}
+	svc := &ShufflerService{eng: eng}
 	svc.fwd.restore(eng.recMarks)
 	return svc, nil
+}
+
+// NewStageShufflerFleetService wraps a single-shuffler stage (the plain
+// Shuffler or an SGXShuffler) whose epochs are pushed to the analyzer tier
+// at analyzerAddrs according to cfg: each processed epoch is split across
+// the partitions by content hash, with per-partition (stream, epoch) dedup
+// keeping the fan-in exactly-once. pub is the key served to clients over
+// Shuffler.PublicKey. The caller should Close the service to drain and
+// release the downstream connections.
+func NewStageShufflerFleetService(st shuffler.Stage, pub []byte, analyzerAddrs []string, cfg EpochConfig) (*ShufflerService, error) {
+	svc, err := newShufflerService(st, envelopeOps, analyzerAddrs, wireIngest, cfg)
+	if err != nil {
+		return nil, err
+	}
+	svc.pub = pub
+	return svc, nil
+}
+
+// NewShuffler1FleetService wraps the first split-shuffler hop, forwarding
+// each blinded-and-shuffled epoch to the shuffler2 tier at nextAddrs. Each
+// epoch is split by the client-stamped owning partition (PartitionOf over
+// the crowd ID, which blinding preserves) and pushed to the owning replica,
+// so the partition that thresholds a crowd sees all of it no matter which
+// hop-1 replica the reports entered through.
+func NewShuffler1FleetService(s1 *shuffler.Shuffler1, nextAddrs []string, cfg EpochConfig) (*ShufflerService, error) {
+	return newShufflerService(s1, blindedOps, nextAddrs, wireForward, cfg)
+}
+
+// NewShuffler2FleetService wraps the second split-shuffler hop, pushing each
+// processed epoch's surviving inner ciphertexts to the analyzer tier at
+// analyzerAddrs, spread by content hash (the analyzer merge is commutative,
+// so any deterministic spread is correct). The service serves s2's blinding
+// and hybrid public keys to clients over Shuffler.Keys.
+func NewShuffler2FleetService(s2 *shuffler.Shuffler2, analyzerAddrs []string, cfg EpochConfig) (*ShufflerService, error) {
+	if s2.Blinding == nil || s2.Priv == nil {
+		return nil, errors.New("transport: shuffler 2 needs blinding and hybrid keys")
+	}
+	svc, err := newShufflerService(s2, blindedOps, analyzerAddrs, wireIngest, cfg)
+	if err != nil {
+		return nil, err
+	}
+	svc.blindingPub = s2.Blinding.H.Bytes()
+	svc.hybridPub = s2.Priv.Public().Bytes()
+	return svc, nil
+}
+
+// serveWire is the data-plane handler for the three shuffler frame methods
+// (client submission of plain or blinded envelopes, hop-to-hop Forward):
+// the batch must be the kind this role ingests, and a stamped delivery is
+// ingested at most once — a client's retry after an ambiguous connection
+// error, or an upstream hop's at-least-once push, is acknowledged without
+// re-ingesting.
+// The batch is accepted or rejected atomically: on ErrEpochFull nothing is
+// ingested. With a WAL the dedup mark persists with the items.
+func (s *ShufflerService) serveWire(method uint8, stream, pos int64, b core.Batch) (int, error) {
+	if method != wireSubmitBatch && method != wireSubmitBlinded && method != wireForward {
+		return 0, fmt.Errorf("transport: shuffler does not serve wire method %d", method)
+	}
+	if k := b.Kind(); k != s.eng.kind() && k != core.KindEmpty {
+		return 0, fmt.Errorf("transport: shuffler ingests %v, got %v", s.eng.kind(), k)
+	}
+	if err := s.fwd.ingest(stream, pos, func() error { return s.eng.addForward(stream, pos, b) }); err != nil {
+		return 0, err
+	}
+	return b.Len(), nil
 }
 
 // SetAttestation installs the quote served over the Shuffler.Attestation
@@ -488,9 +485,33 @@ func (s *ShufflerService) Attestation(_ struct{}, reply *AttestationReply) error
 	return nil
 }
 
+// PublicKey returns the single shuffler's encryption key. (An SGX deployment
+// additionally serves the quote over it; see Attestation.) The split-chain
+// hops hold no such key and fail.
+func (s *ShufflerService) PublicKey(_ struct{}, reply *KeyReply) error {
+	if len(s.pub) == 0 {
+		return errors.New("transport: this shuffler serves no public key (split-chain hops serve Keys from the shuffler2 daemon)")
+	}
+	reply.Key = s.pub
+	return nil
+}
+
+// Keys serves the split-shuffler client key material. Only the shuffler2
+// hop holds it — clients fetch it from the shuffler2 daemon directly,
+// preserving the rule that no single hop could both see traffic metadata
+// and decrypt.
+func (s *ShufflerService) Keys(_ struct{}, reply *BlindedKeysReply) error {
+	if len(s.blindingPub) == 0 {
+		return errors.New("transport: this hop holds no keys (fetch them from the shuffler2 daemon)")
+	}
+	reply.Blinding = s.blindingPub
+	reply.Key = s.hybridPub
+	return nil
+}
+
 // Config returns the service's effective epoch configuration, with every
 // default and clamp applied.
-func (s *ShufflerService) Config() EpochConfig { return s.eng.cfg }
+func (s *ShufflerService) Config() EpochConfig { return s.eng.config() }
 
 // SetFleetInfo installs the fleet-topology metadata served over Healthz:
 // the downstream partition count this replica fans out to and the sibling
@@ -513,72 +534,16 @@ func (s *ShufflerService) Healthz(_ struct{}, reply *HealthzReply) error {
 	return nil
 }
 
-// PublicKey returns the shuffler's encryption key. (An SGX deployment
-// additionally serves the quote over it; see Attestation.)
-func (s *ShufflerService) PublicKey(_ struct{}, reply *KeyReply) error {
-	reply.Key = s.pub
-	return nil
-}
-
-// Submit queues one envelope (the reference path; see SubmitBatch).
-func (s *ShufflerService) Submit(args SubmitArgs, ack *bool) error {
-	if err := s.eng.add([]core.Envelope{args.Envelope}); err != nil {
-		return err
-	}
-	*ack = true
-	return nil
-}
-
-// SubmitBatch queues many envelopes in one round trip. The batch is
-// accepted or rejected atomically: on ErrEpochFull no envelope is ingested.
-// A stamped batch (nonzero Stream/Seq) is deduplicated like a forward push,
-// so a client's retry after an ambiguous connection error cannot
-// double-ingest; with a WAL the mark persists with the items.
-func (s *ShufflerService) SubmitBatch(args SubmitBatchArgs, reply *SubmitReply) error {
-	if args.Stream == 0 && args.Seq == 0 {
-		if err := s.eng.add(args.Envelopes); err != nil {
-			return err
-		}
-		reply.Accepted = len(args.Envelopes)
-		return nil
-	}
-	return s.fwd.ingest(args.Stream, args.Seq, len(args.Envelopes), reply, func() error {
-		return s.eng.addForward(args.Stream, args.Seq, args.Envelopes)
-	})
-}
-
-// Forward ingests an epoch pushed by an upstream stage daemon, deduplicating
-// at-least-once retries by (stream, epoch). The single-shuffler stage
-// ingests client envelopes.
-func (s *ShufflerService) Forward(args ForwardArgs, reply *SubmitReply) error {
-	if k := args.Batch.Kind(); k != core.KindEnvelopes && k != core.KindEmpty {
-		return fmt.Errorf("transport: shuffler ingests %v, got %v", core.KindEnvelopes, k)
-	}
-	return s.fwd.ingest(args.Stream, args.Epoch, len(args.Batch.Envelopes), reply, func() error {
-		return s.eng.addForward(args.Stream, args.Epoch, args.Batch.Envelopes)
-	})
-}
-
-// Flush cuts and processes the current epoch, returning its stats. An
-// empty or below-minimum epoch fails with shuffler.ErrBatchTooSmall (the
-// anonymity floor) and is left pending; use Drain for a tolerant barrier.
-func (s *ShufflerService) Flush(_ struct{}, reply *FlushReply) error {
-	stats, err := s.eng.forceFlush(false, false)
-	if err != nil {
-		return err
-	}
-	reply.Stats = stats
-	return nil
-}
-
 // Drain cuts the current epoch if it meets the anonymity floor — a
 // below-floor epoch is left pending, where it can still grow — waits for
-// every queued epoch to reach the analyzer, and returns the service stats.
-// Unlike Flush it succeeds when nothing is pending, so clients use it as a
-// barrier before querying the analyzer. With DrainArgs.Force a below-floor
-// epoch is released as Dropped instead of left pending (final drain).
+// every queued epoch to reach the next hop, and returns the service stats.
+// It succeeds when nothing is pending, so clients use it as a barrier
+// before querying downstream. Chains drain in hop order: hop 1 first (its
+// final epoch must reach hop 2's ingestion before hop 2's drain cuts), then
+// hop 2. With DrainArgs.Force a below-floor epoch is released as Dropped
+// instead of left pending (final drain).
 func (s *ShufflerService) Drain(args DrainArgs, reply *ServiceStats) error {
-	if _, err := s.eng.forceFlush(true, args.Force); err != nil {
+	if err := s.eng.forceFlush(args.Force); err != nil {
 		return err
 	}
 	return s.Stats(struct{}{}, reply)
@@ -591,17 +556,10 @@ func (s *ShufflerService) Stats(_ struct{}, reply *ServiceStats) error {
 	return nil
 }
 
-// BatchSize reports the current epoch occupancy (kept for compatibility;
-// Stats is the richer call).
-func (s *ShufflerService) BatchSize(_ struct{}, n *int) error {
-	*n = int(s.eng.occupancy.Load())
-	return nil
-}
-
 // Close gracefully shuts the service down: it stops accepting submissions,
 // cuts and flushes the final epoch (if it meets the anonymity floor), waits
-// for every queued epoch to reach the analyzer, and releases the analyzer
-// connection.
+// for every queued epoch to reach the next hop, and releases the downstream
+// connections.
 func (s *ShufflerService) Close() error { return s.eng.close() }
 
 // Abort simulates a crash (kill -9) for the recovery test harness: no final
@@ -609,17 +567,6 @@ func (s *ShufflerService) Close() error { return s.eng.close() }
 // process would leave it, for a successor service on the same WALDir to
 // recover. Production shutdown is Close.
 func (s *ShufflerService) Abort() { s.eng.abort() }
-
-// IngestArgs carries shuffled inner ciphertexts to the analyzer. Stream and
-// Epoch identify the push for dedup: the shuffler's push retry is
-// at-least-once (a reply can be lost after the analyzer ingested), so the
-// analyzer drops an (Stream, Epoch) pair it has already materialized. Zero
-// values skip dedup (older callers).
-type IngestArgs struct {
-	Stream int64
-	Epoch  int64
-	Items  [][]byte
-}
 
 // HistogramReply is the analyzer's histogram of its materialized database.
 type HistogramReply struct {
@@ -644,7 +591,9 @@ type AnalyzerService struct {
 	db            [][]byte
 	undecryptable int
 	ingests       int
-	// seen dedups retried pushes by (stream, epoch); see IngestArgs.
+	// seen dedups retried pushes by (stream, epoch): the shuffler's push
+	// retry is at-least-once (a reply can be lost after the analyzer
+	// ingested), so an epoch already materialized is not ingested again.
 	seen map[[2]int64]bool
 }
 
@@ -666,28 +615,33 @@ func (a *AnalyzerService) PublicKey(_ struct{}, reply *KeyReply) error {
 	return nil
 }
 
-// Ingest decrypts and materializes a batch of shuffled records. A retried
-// push of an epoch this service already materialized (the shuffler's reply
-// was lost) is acknowledged without re-ingesting.
-func (a *AnalyzerService) Ingest(args IngestArgs, ack *bool) error {
-	key := [2]int64{args.Stream, args.Epoch}
-	dedup := args.Stream != 0 || args.Epoch != 0
+// serveWire is the analyzer's data-plane handler: it decrypts and
+// materializes a pushed batch of shuffled records. A retried push of an
+// epoch this service already materialized (the shuffler's reply was lost)
+// is acknowledged without re-ingesting; a zero (stream, epoch) skips dedup.
+func (a *AnalyzerService) serveWire(method uint8, stream, epoch int64, b core.Batch) (int, error) {
+	if method != wireIngest {
+		return 0, fmt.Errorf("transport: analyzer does not serve wire method %d", method)
+	}
+	if k := b.Kind(); k != core.KindPayloads && k != core.KindEmpty {
+		return 0, fmt.Errorf("transport: analyzer ingests %v, got %v", core.KindPayloads, k)
+	}
+	key := [2]int64{stream, epoch}
+	dedup := stream != 0 || epoch != 0
 	if dedup {
 		a.mu.Lock()
-		if a.seen[key] {
-			a.mu.Unlock()
-			*ack = true
-			return nil
-		}
+		seen := a.seen[key]
 		a.mu.Unlock()
+		if seen {
+			return len(b.Payloads), nil
+		}
 	}
-	db, undec := a.an.Open(args.Items)
+	db, undec := a.an.Open(b.Payloads)
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if dedup && a.seen[key] {
 		// A concurrent retry of the same epoch won the race.
-		a.mu.Unlock()
-		*ack = true
-		return nil
+		return len(b.Payloads), nil
 	}
 	if dedup {
 		a.seen[key] = true
@@ -695,9 +649,7 @@ func (a *AnalyzerService) Ingest(args IngestArgs, ack *bool) error {
 	a.db = append(a.db, db...)
 	a.undecryptable += undec
 	a.ingests++
-	a.mu.Unlock()
-	*ack = true
-	return nil
+	return len(b.Payloads), nil
 }
 
 // Histogram returns the histogram of the materialized database.
@@ -719,10 +671,10 @@ func (a *AnalyzerService) Stats(_ struct{}, reply *AnalyzerStats) error {
 	return nil
 }
 
-// Serve registers rcvr under name and serves RPC on addr (use "127.0.0.1:0"
+// Serve registers rcvr under name and serves it on addr (use "127.0.0.1:0"
 // for an ephemeral port). Every accepted connection is protocol-sniffed: the
-// binary data plane and gob net/rpc share the one listener (see wire.go).
-// It returns the listener; callers close it to stop.
+// binary data plane and the net/rpc control plane share the one listener
+// (see wire.go). It returns the listener; callers close it to stop.
 func Serve(addr, name string, rcvr any) (net.Listener, error) {
 	srv, err := NewRPCServer(name, rcvr)
 	if err != nil {
@@ -774,25 +726,25 @@ const (
 
 // Client is a convenience handle for submitting reports to a shuffler-role
 // service — a plain/SGX shuffler daemon or either hop of the blinded chain.
-// It remembers the address it dialed: SubmitAll/SubmitAllBlinded transparently
-// redial it on connection-level failures, and every batch submission carries
-// a (stream, seq) stamp so such a retry is deduplicated service-side even
-// when the original attempt was ingested but its ack was lost.
+// Batches travel on a lazily negotiated binary data-plane connection,
+// control calls on net/rpc. It remembers the address it dialed:
+// SubmitAll/SubmitAllBlinded transparently redial it on connection-level
+// failures, and every batch submission carries a (stream, seq) stamp so
+// such a retry is deduplicated service-side even when the original attempt
+// was ingested but its ack was lost.
 type Client struct {
 	addr    string
 	timeout time.Duration
 	stream  int64
 	seq     atomic.Int64
-	wire    WireMode
 
 	// Transient-redial budget for SubmitAll; see SetRedial.
 	redials    int
 	redialBase time.Duration
 
-	mu         sync.Mutex
-	rpc        *rpc.Client
-	wc         *wireConn // lazily negotiated binary data plane
-	wireBroken bool      // peer refused the binary handshake; stay on gob
+	mu  sync.Mutex
+	rpc *rpc.Client
+	wc  *wireConn // lazily negotiated data-plane connection
 }
 
 // Dial connects to a shuffler service with the default connect timeout.
@@ -836,43 +788,33 @@ func (c *Client) SetRedial(attempts int, base time.Duration) {
 	}
 }
 
-// SetWire selects the data-plane protocol for submissions (default
-// WireBinary, with per-connection gob fallback). Call before submitting;
-// it does not resync connections already negotiated.
-func (c *Client) SetWire(mode WireMode) { c.wire = mode }
-
 // Addr returns the address the client dialed.
 func (c *Client) Addr() string { return c.addr }
 
-// call issues one RPC: data-plane methods ride the negotiated binary
-// connection when the client and peer both speak it, everything else (and
-// the gob fallback) rides net/rpc with the data-plane timeout applied.
+// call issues one control-plane RPC.
 func (c *Client) call(method string, args, reply any) error {
-	if c.wire == WireBinary && wireMethods[method] {
-		wc, err := c.wireDataConn()
-		switch {
-		case err == nil:
-			return (&wireCaller{wc: wc}).Call(method, args, reply)
-		case !errors.Is(err, errWireUnsupported):
-			return err // connection-level: transient, redial machinery applies
-		}
-		// Peer speaks only gob; fall through.
-	}
 	c.mu.Lock()
 	cl := c.rpc
 	c.mu.Unlock()
-	return callRPCTimeout(cl, method, args, reply, DefaultWireTimeout)
+	return cl.Call(method, args, reply)
 }
 
-// wireDataConn returns the client's binary data-plane connection, dialing
-// and negotiating it on first use. errWireUnsupported means the peer is
-// reachable but gob-only; any other error is connection-level.
+// push ships one stamped batch on the data plane, negotiating the
+// connection on first use.
+func (c *Client) push(method uint8, seq int64, b core.Batch) error {
+	wc, err := c.wireDataConn()
+	if err != nil {
+		return err
+	}
+	_, err = wc.call(method, c.stream, seq, b)
+	return err
+}
+
+// wireDataConn returns the client's data-plane connection, dialing and
+// negotiating it on first use or after the previous one broke.
 func (c *Client) wireDataConn() (*wireConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.wireBroken {
-		return nil, errWireUnsupported
-	}
 	if c.wc != nil {
 		if !c.wc.isBroken() {
 			return c.wc, nil
@@ -882,29 +824,23 @@ func (c *Client) wireDataConn() (*wireConn, error) {
 	}
 	wc, err := dialWire(c.addr, c.timeout, DefaultWireTimeout)
 	if err != nil {
-		if errors.Is(err, errWireUnsupported) {
-			c.wireBroken = true
-		}
 		return nil, err
 	}
 	c.wc = wc
 	return wc, nil
 }
 
-// redial replaces the connection with a fresh one to the same address. The
-// binary data plane is dropped and renegotiated lazily — a restarted peer
-// gets a fresh handshake rather than inheriting a stale verdict.
+// redial replaces the control connection with a fresh one to the same
+// address. The data-plane connection is dropped and renegotiated lazily, so
+// a restarted peer gets a fresh handshake.
 func (c *Client) redial() error {
 	cl, err := dialRPC(c.addr, c.timeout)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	old := c.rpc
-	c.rpc = cl
-	oldWC := c.wc
-	c.wc = nil
-	c.wireBroken = false
+	old, oldWC := c.rpc, c.wc
+	c.rpc, c.wc = cl, nil
 	c.mu.Unlock()
 	old.Close()
 	if oldWC != nil {
@@ -913,12 +849,12 @@ func (c *Client) redial() error {
 	return nil
 }
 
-// callRetryTransient issues one RPC, retrying connection-level failures on
-// fresh connections under the client's redial budget. The args must carry a
-// dedup stamp when the call is not idempotent: an attempt that died mid-call
-// may have been ingested, and only the stamp makes the retry safe.
-func (c *Client) callRetryTransient(method string, args, reply any) error {
-	err := c.call(method, args, reply)
+// retryTransient runs call, retrying connection-level failures on fresh
+// connections under the client's redial budget. call must be idempotent or
+// carry a dedup stamp: an attempt that died mid-call may have been
+// ingested, and only the stamp makes the retry safe.
+func (c *Client) retryTransient(call func() error) error {
+	err := call()
 	pol := redialPolicy{attempts: c.redials, base: c.redialBase, jitter: DefaultRedialJitter}
 	for attempt := 0; IsTransient(err) && attempt < pol.attempts; attempt++ {
 		time.Sleep(pol.delay(attempt))
@@ -926,7 +862,7 @@ func (c *Client) callRetryTransient(method string, args, reply any) error {
 			err = derr
 			continue
 		}
-		err = c.call(method, args, reply)
+		err = call()
 	}
 	return err
 }
@@ -979,35 +915,12 @@ func (c *Client) BlindedKeys() (BlindedKeysReply, error) {
 	return reply, nil
 }
 
-// Submit sends one envelope (the reference path; see SubmitBatch).
-func (c *Client) Submit(env core.Envelope) error {
-	var ack bool
-	return c.call("Shuffler.Submit", SubmitArgs{Envelope: env}, &ack)
-}
-
-// SubmitBatch ships a whole batch of envelopes in one RPC round trip. The
-// batch is accepted atomically; on an IsEpochFull error nothing was
-// ingested and the caller should back off and resubmit. The batch carries a
-// fresh (stream, seq) stamp, so a later retry of the same call's args would
-// be deduplicated — SubmitAll relies on this for its transient retries.
+// SubmitBatch ships a whole batch of envelopes in one round trip. The batch
+// is accepted atomically; on an IsEpochFull error nothing was ingested and
+// the caller should back off and resubmit. The batch carries a fresh
+// (stream, seq) stamp.
 func (c *Client) SubmitBatch(envs []core.Envelope) error {
-	var reply SubmitReply
-	return c.call("Shuffler.SubmitBatch", c.stampEnvelopes(envs), &reply)
-}
-
-// SubmitBlindedBatch ships a batch of split-shuffler envelopes in one RPC
-// round trip (accepted atomically and stamped, like SubmitBatch).
-func (c *Client) SubmitBlindedBatch(envs []core.BlindedEnvelope) error {
-	var reply SubmitReply
-	return c.call("Shuffler.SubmitBlindedBatch", c.stampBlinded(envs), &reply)
-}
-
-func (c *Client) stampEnvelopes(envs []core.Envelope) SubmitBatchArgs {
-	return SubmitBatchArgs{Envelopes: envs, Stream: c.stream, Seq: c.seq.Add(1)}
-}
-
-func (c *Client) stampBlinded(envs []core.BlindedEnvelope) SubmitBlindedBatchArgs {
-	return SubmitBlindedBatchArgs{Envelopes: envs, Stream: c.stream, Seq: c.seq.Add(1)}
+	return c.push(wireSubmitBatch, c.seq.Add(1), core.Batch{Envelopes: envs})
 }
 
 // Default epoch-full retry policy shared by SubmitAll callers.
@@ -1045,6 +958,14 @@ func submitAll[T any](submit func([]T) error, envs []T, retries int, delay time.
 	return 1, nil
 }
 
+// submitStamped is one stamped submission with transient retries: the
+// stamp is drawn once, before the first attempt, and every retry resends
+// it.
+func (c *Client) submitStamped(method uint8, b core.Batch) error {
+	seq := c.seq.Add(1)
+	return c.retryTransient(func() error { return c.push(method, seq, b) })
+}
+
 // SubmitAll ships a batch of envelopes, adapting to the service's
 // backpressure: a batch rejected as epoch-full is split in half and the
 // halves submitted in order (a batch larger than the occupancy cap can
@@ -1062,14 +983,13 @@ func submitAll[T any](submit func([]T) error, envs []T, retries int, delay time.
 // Connection-level failures are also retried, on fresh connections to the
 // same address under the client's SetRedial budget. Each slice is stamped
 // with a (stream, seq) pair before its first attempt, and the retry resends
-// the identical args, so a slice whose original attempt was ingested but
+// the identical stamp, so a slice whose original attempt was ingested but
 // whose ack was lost is absorbed by the service's dedup — the retry cannot
 // double-submit. Only after the redial budget is exhausted does the error
 // surface, with the accepted-prefix contract intact.
 func (c *Client) SubmitAll(envs []core.Envelope, retries int, delay time.Duration) (accepted int, err error) {
 	return submitAll(func(slice []core.Envelope) error {
-		var reply SubmitReply
-		return c.callRetryTransient("Shuffler.SubmitBatch", c.stampEnvelopes(slice), &reply)
+		return c.submitStamped(wireSubmitBatch, core.Batch{Envelopes: slice})
 	}, envs, retries, delay)
 }
 
@@ -1077,16 +997,8 @@ func (c *Client) SubmitAll(envs []core.Envelope, retries int, delay time.Duratio
 // splitting, backoff, transient-redial, and accepted-prefix contract.
 func (c *Client) SubmitAllBlinded(envs []core.BlindedEnvelope, retries int, delay time.Duration) (accepted int, err error) {
 	return submitAll(func(slice []core.BlindedEnvelope) error {
-		var reply SubmitReply
-		return c.callRetryTransient("Shuffler.SubmitBlindedBatch", c.stampBlinded(slice), &reply)
+		return c.submitStamped(wireSubmitBlinded, core.Batch{Blinded: slice})
 	}, envs, retries, delay)
-}
-
-// Flush asks the shuffler to process its current epoch.
-func (c *Client) Flush() (shuffler.Stats, error) {
-	var reply FlushReply
-	err := c.call("Shuffler.Flush", struct{}{}, &reply)
-	return reply.Stats, err
 }
 
 // Drain flushes anything pending, waits for every queued epoch to reach the
@@ -1109,7 +1021,7 @@ func (c *Client) Drain() (ServiceStats, error) {
 // successor's stats instead of failing the barrier.
 func (c *Client) DrainMode(force bool) (ServiceStats, error) {
 	var reply ServiceStats
-	err := c.callRetryTransient("Shuffler.Drain", DrainArgs{Force: force}, &reply)
+	err := c.retryTransient(func() error { return c.call("Shuffler.Drain", DrainArgs{Force: force}, &reply) })
 	return reply, err
 }
 
@@ -1128,7 +1040,7 @@ func (c *Client) Healthz() (HealthzReply, error) {
 	return reply, err
 }
 
-// Close releases the connections (gob and, if negotiated, binary).
+// Close releases the connections (control and, if negotiated, data plane).
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -18,27 +18,27 @@ import (
 )
 
 // The write-ahead log makes a stage engine's accepted-but-unflushed items
-// survive a process crash. Every accepted item is appended (with its global
-// sequence stamp) to one of the per-ingest-shard segment files before the
-// submission is acknowledged; when the scheduler cuts an epoch it records the
-// epoch's id and sequence range (cuts take every pending item, and stamping
-// completes under the shard lock, so an epoch is always a contiguous range);
-// and when the flusher's push is acked downstream — or permanently fails —
-// the epoch is resolved with an ack/drop record. Segments whose every item
-// belongs to a resolved epoch are deleted. Forward ingests (at-least-once
-// pushes from an upstream hop) are logged as a single fsynced record that
-// carries both the items and the (stream, epoch) dedup mark, so the mark and
-// the data it guards cannot be separated by a crash.
+// survive a process crash. Every submission — a client's stamped batch or an
+// upstream hop's epoch push — is logged before it is acknowledged, as a
+// single fsynced forward record that carries both the items (with their
+// global sequence stamps) and the (stream, seq-or-epoch) dedup mark, so the
+// mark and the data it guards cannot be separated by a crash. When the
+// scheduler cuts an epoch it records the epoch's id and sequence range (cuts
+// take every pending item, and stamping completes under the shard lock, so
+// an epoch is always a contiguous range); and when the flusher's push is
+// acked downstream — or permanently fails — the epoch is resolved with an
+// ack/drop record. Segments whose every item belongs to a resolved epoch are
+// deleted. Plain item records are written only by compaction (migrateWAL),
+// which rewrites recovered state after a restart.
 //
 // Durability points:
 //
-//   - item records: fsynced every EpochConfig.WALSync records (default every
-//     append call), the throughput/durability trade-off knob;
+//   - forward records: fsynced before the submission is acknowledged;
+//   - item records: fsynced together at the end of compaction;
 //   - cut records: every dirty segment is fsynced, then the cut record is
 //     appended and fsynced, before the epoch may be pushed — so a pushed
 //     epoch's membership is always recoverable and a retried push after
 //     restart reuses the same epoch id for downstream dedup;
-//   - forward records: fsynced before the upstream push is acknowledged;
 //   - ack/drop records: not fsynced. Losing one re-pushes a delivered epoch,
 //     which downstream (stream, epoch) dedup absorbs.
 //
@@ -69,20 +69,23 @@ const (
 
 const walMetaName = "wal.meta"
 
+// walItemsPrefix names the item-record segment files (generations append
+// "-<gen>.log"; recovery reads every "shard-*.log").
+const walItemsPrefix = "shard-0000"
+
 // walRange is an epoch's contiguous sequence range, inclusive.
 type walRange struct{ min, max int64 }
 
 // walSegment is one append-only record file.
 type walSegment struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	size     int64
-	maxSeq   int64
-	unsynced int  // records appended since the last fsync
-	dirty    bool // has records not yet fsynced
-	buf      []byte
-	fsync    *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	size   int64
+	maxSeq int64
+	dirty  bool // has records not yet fsynced
+	buf    []byte
+	fsync  *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
 }
 
 // walSealed is a rotated (immutable) segment awaiting resolution.
@@ -92,19 +95,18 @@ type walSealed struct {
 }
 
 // wal is the engine's write-ahead log over one directory. It is shared by
-// the engine's ingest path (per-shard appends under the engine's shard
-// locks), its scheduler (cut records), and its flusher (resolve records);
-// each segment has its own lock and the epoch log has the wal lock, so the
-// paths only contend where they genuinely share a file.
+// the engine's ingest path (forward records), its scheduler (cut records),
+// and its flusher (resolve records); each segment has its own lock and the
+// epoch log has the wal lock, so the paths only contend where they
+// genuinely share a file.
 type wal struct {
-	dir       string
-	syncEvery int // fsync a segment every N records; <= 0: every append
-	segBytes  int64
-	stream    int64
+	dir      string
+	segBytes int64
+	stream   int64
 
-	gen    int64 // monotonic file-generation counter (naming only)
-	shards []*walSegment
-	fwd    *walSegment
+	gen   int64       // monotonic file-generation counter (naming only)
+	items *walSegment // item records (compaction only)
+	fwd   *walSegment
 
 	mu         sync.Mutex // epoch log, sealed registry, resolution state
 	epochLog   *walSegment
@@ -162,19 +164,15 @@ func readRecord(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
 // persisted on first creation; on an existing directory the caller passes
 // the recovered stream. New segment generations continue after startGen so
 // fresh files never collide with files a recovery still has to delete.
-func openWAL(dir string, shards int, syncEvery int, segBytes int64, stream int64, startGen int64) (*wal, error) {
+func openWAL(dir string, segBytes int64, stream int64, startGen int64) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport: wal dir: %w", err)
 	}
 	if segBytes <= 0 {
 		segBytes = DefaultWALSegmentBytes
 	}
-	if shards <= 0 {
-		shards = 1
-	}
 	w := &wal{
 		dir:        dir,
-		syncEvery:  syncEvery,
 		segBytes:   segBytes,
 		stream:     stream,
 		gen:        startGen,
@@ -192,12 +190,9 @@ func openWAL(dir string, shards int, syncEvery int, segBytes int64, stream int64
 		}
 	}
 	var err error
-	w.shards = make([]*walSegment, shards)
-	for i := range w.shards {
-		if w.shards[i], err = w.newSegment(fmt.Sprintf("shard-%04d", i)); err != nil {
-			w.closeFiles()
-			return nil, err
-		}
+	if w.items, err = w.newSegment(walItemsPrefix); err != nil {
+		w.closeFiles()
+		return nil, err
 	}
 	if w.fwd, err = w.newSegment("fwd"); err != nil {
 		w.closeFiles()
@@ -225,12 +220,11 @@ func (w *wal) newSegment(prefix string) (*walSegment, error) {
 }
 
 // write appends framed bytes to a locked segment.
-func (s *walSegment) write(b []byte, records int) error {
+func (s *walSegment) write(b []byte) error {
 	if _, err := s.f.Write(b); err != nil {
 		return err
 	}
 	s.size += int64(len(b))
-	s.unsynced += records
 	s.dirty = true
 	return nil
 }
@@ -250,7 +244,6 @@ func (s *walSegment) syncLocked() error {
 	if s.fsync != nil {
 		s.fsync.Observe(time.Since(start).Seconds())
 	}
-	s.unsynced = 0
 	s.dirty = false
 	return nil
 }
@@ -271,35 +264,16 @@ func (w *wal) rotateLocked(s *walSegment, prefix string) error {
 	w.sealed = append(w.sealed, walSealed{path: s.path, maxSeq: s.maxSeq})
 	w.mu.Unlock()
 	s.f, s.path, s.size, s.maxSeq = next.f, next.path, 0, 0
-	s.unsynced, s.dirty = 0, false
+	s.dirty = false
 	return nil
 }
 
-// appendItems logs n accepted items into shard idx's segment: one item
-// record each, fsynced per the WALSync cadence. Must be called under the
-// engine's matching ingest-shard lock (it is what makes "item in the log"
-// and "item visible to the epoch cut" atomic).
-func (w *wal) appendItems(idx int, n int, seq func(int) int64, enc func(int, []byte) []byte) error {
-	s := w.shards[idx%len(w.shards)]
+// appendItems logs n items as one item record each, unsynced: compaction
+// (migrateWAL), the only writer, syncs everything once it is done.
+func (w *wal) appendItems(n int, seq func(int) int64, enc func(int, []byte) []byte) error {
+	s := w.items
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := w.appendItemsLocked(s, n, seq, enc); err != nil {
-		return err
-	}
-	w.appendRecords.Add(float64(n))
-	if w.syncEvery <= 0 || s.unsynced >= w.syncEvery {
-		if err := s.syncLocked(); err != nil {
-			return fmt.Errorf("transport: wal sync: %w", err)
-		}
-	}
-	if s.size >= w.segBytes {
-		return w.rotateLocked(s, fmt.Sprintf("shard-%04d", idx%len(w.shards)))
-	}
-	return nil
-}
-
-// appendItemsLocked frames and writes the item records of one append call.
-func (w *wal) appendItemsLocked(s *walSegment, n int, seq func(int) int64, enc func(int, []byte) []byte) error {
 	s.buf = s.buf[:0]
 	var body []byte
 	for i := 0; i < n; i++ {
@@ -311,15 +285,19 @@ func (w *wal) appendItemsLocked(s *walSegment, n int, seq func(int) int64, enc f
 			s.maxSeq = sq
 		}
 	}
-	if err := s.write(s.buf, n); err != nil {
+	if err := s.write(s.buf); err != nil {
 		return fmt.Errorf("transport: wal append: %w", err)
+	}
+	w.appendRecords.Add(float64(n))
+	if s.size >= w.segBytes {
+		return w.rotateLocked(s, walItemsPrefix)
 	}
 	return nil
 }
 
-// appendForward logs a forward ingest as one atomic, fsynced record carrying
+// appendForward logs a submission as one atomic, fsynced record carrying
 // the (stream, epoch) dedup mark and every item — acknowledged to the
-// upstream pusher only after this returns, so a crash can never persist the
+// pusher only after this returns, so a crash can never persist the
 // mark without the items (a retry swallowed, items lost) or the items
 // without the mark (a retry double-ingesting). A best-effort mark replica
 // goes into the epoch log, which outlives the forward segment's truncation.
@@ -343,7 +321,7 @@ func (w *wal) appendForward(stream, epoch int64, n int, seq func(int) int64, enc
 		}
 	}
 	s.buf = body
-	if err := s.write(appendRecord(nil, walRecFwd, body), 1); err != nil {
+	if err := s.write(appendRecord(nil, walRecFwd, body)); err != nil {
 		return fmt.Errorf("transport: wal forward: %w", err)
 	}
 	if err := s.syncLocked(); err != nil {
@@ -361,7 +339,7 @@ func (w *wal) appendForward(stream, epoch int64, n int, seq func(int) int64, enc
 func (w *wal) appendEpochLocked(typ byte, body []byte, sync bool) error {
 	w.epochLog.mu.Lock()
 	defer w.epochLog.mu.Unlock()
-	if err := w.epochLog.write(appendRecord(w.epochLog.buf[:0], typ, body), 1); err != nil {
+	if err := w.epochLog.write(appendRecord(w.epochLog.buf[:0], typ, body)); err != nil {
 		w.logErr = err
 		return err
 	}
@@ -379,7 +357,7 @@ func (w *wal) appendEpochLocked(typ byte, body []byte, sync bool) error {
 // membership is) and then the cut record itself — the barrier that makes a
 // pushed epoch replayable under the same id after a crash.
 func (w *wal) logCut(id, minSeq, maxSeq int64) error {
-	for _, s := range append(append([]*walSegment{}, w.shards...), w.fwd) {
+	for _, s := range []*walSegment{w.items, w.fwd} {
 		s.mu.Lock()
 		err := s.syncLocked()
 		s.mu.Unlock()
@@ -452,7 +430,7 @@ func (w *wal) unresolvedCount() int {
 // syncAll fsyncs every dirty segment and the epoch log.
 func (w *wal) syncAll() error {
 	var first error
-	for _, s := range append(append([]*walSegment{}, w.shards...), w.fwd, w.epochLog) {
+	for _, s := range []*walSegment{w.items, w.fwd, w.epochLog} {
 		s.mu.Lock()
 		err := s.syncLocked()
 		s.mu.Unlock()
@@ -465,7 +443,7 @@ func (w *wal) syncAll() error {
 
 // closeFiles closes every open segment without syncing (the crash path).
 func (w *wal) closeFiles() {
-	for _, s := range append(append([]*walSegment{}, w.shards...), w.fwd, w.epochLog) {
+	for _, s := range []*walSegment{w.items, w.fwd, w.epochLog} {
 		if s == nil {
 			continue
 		}
@@ -776,7 +754,7 @@ func walStartGen(dir string) int64 {
 // disk; the next recovery's seq/id dedup reads them as one.
 func migrateWAL[T any](w *wal, rec *walRecovery[T], seqOf func(*T) int, enc func(*T, []byte) []byte) error {
 	logBatch := func(batch []T) error {
-		return w.appendItems(0, len(batch),
+		return w.appendItems(len(batch),
 			func(i int) int64 { return int64(seqOf(&batch[i])) },
 			func(i int, dst []byte) []byte { return enc(&batch[i], dst) })
 	}

@@ -14,10 +14,10 @@ func walEnv(seq int, value string) core.Envelope {
 	return core.Envelope{Blob: []byte(value), SourceIP: "10.0.0.1", SeqNo: seq}
 }
 
-// walAppend logs envs (with their SeqNo stamps) to shard idx.
-func walAppend(t *testing.T, w *wal, idx int, envs []core.Envelope) {
+// walAppend logs envs (with their SeqNo stamps) as item records.
+func walAppend(t *testing.T, w *wal, envs []core.Envelope) {
 	t.Helper()
-	err := w.appendItems(idx, len(envs),
+	err := w.appendItems(len(envs),
 		func(i int) int64 { return int64(envs[i].SeqNo) },
 		func(i int, dst []byte) []byte { return envs[i].AppendWire(dst) })
 	if err != nil {
@@ -32,28 +32,28 @@ func walAppend(t *testing.T, w *wal, idx int, envs []core.Envelope) {
 // forward dedup mark restored.
 func TestWALRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 2, 0, 0, 42, 0)
+	w, err := openWAL(dir, 0, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Epoch 1 (seqs 1-2): cut and resolved — must not come back.
-	walAppend(t, w, 0, []core.Envelope{walEnv(1, "resolved-a"), walEnv(2, "resolved-b")})
+	walAppend(t, w, []core.Envelope{walEnv(1, "resolved-a"), walEnv(2, "resolved-b")})
 	if err := w.logCut(1, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	w.resolve(1, true)
 
-	// Epoch 2 (seqs 3-5, spread over both shards): cut, never resolved.
-	walAppend(t, w, 0, []core.Envelope{walEnv(3, "open-a"), walEnv(5, "open-c")})
-	walAppend(t, w, 1, []core.Envelope{walEnv(4, "open-b")})
+	// Epoch 2 (seqs 3-5, logged out of order): cut, never resolved.
+	walAppend(t, w, []core.Envelope{walEnv(3, "open-a"), walEnv(5, "open-c")})
+	walAppend(t, w, []core.Envelope{walEnv(4, "open-b")})
 	if err := w.logCut(2, 3, 5); err != nil {
 		t.Fatal(err)
 	}
 
 	// Pending (seqs 6-7): accepted, never cut. Seq 7 arrives via a forward
 	// ingest carrying a dedup mark.
-	walAppend(t, w, 1, []core.Envelope{walEnv(6, "pend-a")})
+	walAppend(t, w, []core.Envelope{walEnv(6, "pend-a")})
 	err = w.appendForward(99, 7, 1,
 		func(int) int64 { return 7 },
 		func(_ int, dst []byte) []byte { e := walEnv(7, "pend-b"); return e.AppendWire(dst) })
@@ -106,12 +106,12 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 // recovery keeps every record before the tear and drops the torn one.
 func TestWALTornTailIgnored(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1, 0, 0, 7, 0)
+	w, err := openWAL(dir, 0, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walAppend(t, w, 0, []core.Envelope{walEnv(1, "whole"), walEnv(2, "torn-away")})
-	shardPath := w.shards[0].path
+	walAppend(t, w, []core.Envelope{walEnv(1, "whole"), walEnv(2, "torn-away")})
+	shardPath := w.items.path
 	if err := w.close(false); err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,12 @@ func TestWALTornTailIgnored(t *testing.T) {
 // survive.
 func TestWALResolveReclaimsSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1, 0, 64, 7, 0) // rotate after ~one record
+	w, err := openWAL(dir, 64, 7, 0) // rotate after ~one record
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seq := 1; seq <= 4; seq++ {
-		walAppend(t, w, 0, []core.Envelope{walEnv(seq, "segment-filler-payload-to-force-rotation")})
+		walAppend(t, w, []core.Envelope{walEnv(seq, "segment-filler-payload-to-force-rotation")})
 	}
 	if err := w.logCut(1, 1, 4); err != nil {
 		t.Fatal(err)
@@ -167,11 +167,11 @@ func TestWALResolveReclaimsSegments(t *testing.T) {
 // TestWALCleanCloseWipes: a wiping close leaves nothing to recover.
 func TestWALCleanCloseWipes(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 2, 0, 0, 7, 0)
+	w, err := openWAL(dir, 0, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walAppend(t, w, 0, []core.Envelope{walEnv(1, "gone")})
+	walAppend(t, w, []core.Envelope{walEnv(1, "gone")})
 	if err := w.logCut(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestWALCleanCloseWipes(t *testing.T) {
 // state — the seq/id dedup absorbs the overlap.
 func TestWALMigrationIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1, 0, 0, 11, 0)
+	w, err := openWAL(dir, 0, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walAppend(t, w, 0, []core.Envelope{walEnv(1, "epoch-item"), walEnv(2, "pending-item")})
+	walAppend(t, w, []core.Envelope{walEnv(1, "epoch-item"), walEnv(2, "pending-item")})
 	if err := w.logCut(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestWALMigrationIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := openWAL(dir, 1, 0, 0, rec.stream, walStartGen(dir))
+	w2, err := openWAL(dir, 0, rec.stream, walStartGen(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/rpc"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,12 +18,11 @@ import (
 	"prochlo/internal/core"
 )
 
-// Binary data-plane protocol. The hot RPCs — client batch submission,
+// Binary data-plane protocol. The hot calls — client batch submission,
 // hop-to-hop Forward, analyzer Ingest — all move one core.Batch plus a
 // (stream, seq-or-epoch) dedup stamp and get back an accepted count or an
-// error string. gob/net-rpc spends most of a push re-encoding type metadata
-// and allocating per envelope; this transport frames the batch codec from
-// internal/core instead:
+// error string. Each is one frame around the batch codec from
+// internal/core:
 //
 //	request  frame: uvarint len | body
 //	  body:  uvarint reqID | method byte | varint stream | varint pos |
@@ -38,53 +38,17 @@ import (
 //
 // Requests are pipelined: a connection carries any number of in-flight
 // requests, correlated by reqID, and replies may arrive out of order (the
-// server handles each frame in its own goroutine, exactly as net/rpc
-// services gob requests). Server errors travel as strings and surface as
-// rpc.ServerError, so IsEpochFull and IsTransient behave identically across
-// both protocols.
+// server handles each frame in its own goroutine). Server errors travel as
+// strings and surface as rpc.ServerError, so IsEpochFull and IsTransient
+// treat them exactly like control-plane errors.
 //
-// Protocol negotiation happens at accept time: a binary client opens with a
-// 4-byte magic whose first byte (0x00) is impossible as the opening byte of
-// a gob stream, and the server peeks it — match serves binary frames,
-// anything else hands the connection (peeked bytes included) to net/rpc.
-// The server acks the magic, and a dialer that gets no ack (an old gob-only
-// server reading the magic as garbage and closing, or just silence until
-// the handshake deadline) falls back to dialing a plain gob connection, so
-// mixed-version fleets interoperate. Control-plane RPCs (Keys, Healthz,
-// Stats, Drain, Attestation) always ride net/rpc.
-
-// WireMode selects the data-plane protocol for dialed connections. The
-// zero value is WireBinary: the framed binary protocol, falling back to gob
-// per connection when the peer does not speak it.
-type WireMode uint8
-
-const (
-	// WireBinary frames the hot calls with the binary batch codec,
-	// negotiated at dial with per-connection fallback to gob.
-	WireBinary WireMode = iota
-	// WireGob forces the gob/net-rpc data plane (the pre-binary protocol,
-	// kept for cross-version compatibility and A/B measurement).
-	WireGob
-)
-
-// ParseWireMode parses a -wire flag value: "binary" (or empty) and "gob".
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "", "binary":
-		return WireBinary, nil
-	case "gob":
-		return WireGob, nil
-	}
-	return WireBinary, fmt.Errorf("transport: unknown wire mode %q (want binary or gob)", s)
-}
-
-// String names the mode like the flag that selects it.
-func (m WireMode) String() string {
-	if m == WireGob {
-		return "gob"
-	}
-	return "binary"
-}
+// One listener serves both planes: a data-plane client opens with a 4-byte
+// magic whose first byte (0x00) is impossible as the opening byte of a gob
+// stream, and the server peeks it — a match serves binary frames, anything
+// else hands the connection (peeked bytes included) to net/rpc, which
+// carries the control RPCs (Keys, Healthz, Stats, Drain, Attestation,
+// Histogram). The server acks the magic; a dialer that gets no ack fails
+// with an ordinary connection error.
 
 // DefaultWireTimeout bounds one data-plane call end to end: a peer that
 // accepted the connection but never answers (hung process, black-holed
@@ -100,26 +64,23 @@ const wireIOTimeout = 30 * time.Second
 // maxWireFrame caps a frame body; anything larger is corruption, not data.
 const maxWireFrame = 1 << 30
 
-// Data-plane method ids, and their net/rpc names for the caller adapter.
+// Data-plane method ids. The three shuffler methods share one handler (the
+// batch kind, not the method, decides what a shuffler accepts); they stay
+// distinct ids so the frame format is unchanged.
 const (
-	wireSubmitBatch   = 1 // Shuffler.SubmitBatch
-	wireSubmitBlinded = 2 // Shuffler.SubmitBlindedBatch
-	wireForward       = 3 // Shuffler.Forward
-	wireIngest        = 4 // Analyzer.Ingest
+	wireSubmitBatch   = 1 // client envelopes into a plain/SGX shuffler
+	wireSubmitBlinded = 2 // client blinded envelopes into shuffler1
+	wireForward       = 3 // an upstream hop's processed epoch
+	wireIngest        = 4 // peeled payloads into an analyzer
 )
 
 // wireMagic opens a binary connection; wireMagicAck confirms it. The 0x00
 // lead byte can never open a gob stream (gob's first byte is a nonzero
-// message length), which is what lets one listener serve both protocols.
+// message length), which is what lets one listener serve both planes.
 var (
 	wireMagic    = [4]byte{0x00, 'P', 'W', '1'}
 	wireMagicAck = [4]byte{0x00, 'P', 'A', '1'}
 )
-
-// errWireUnsupported marks a failed binary handshake: the peer is reachable
-// but does not speak the framed protocol, so the dialer should fall back to
-// gob rather than treat the address as down.
-var errWireUnsupported = errors.New("transport: peer does not speak the binary wire protocol")
 
 // framePool recycles frame encode buffers so a steady-state push allocates
 // nothing for its marshal: the arena grows to the fleet's epoch size and is
@@ -162,17 +123,20 @@ func checkCRC(body []byte) ([]byte, error) {
 	return data, nil
 }
 
+// frameReadChunk is the most body buffer readFrame allocates before any of
+// the body has arrived. The declared length of a frame is only a claim until
+// the bytes come in, so a larger frame's buffer then at most doubles per
+// step as they do. The size covers a fleet's epoch pushes in one exact
+// allocation.
+const frameReadChunk = 1 << 20
+
 // readFrame reads one length-prefixed frame body. The wait for the first
 // length byte is unbounded (idle connections are normal); once a frame has
 // begun, the remainder must arrive within wireIOTimeout or the read fails —
 // a torn frame from a hung peer becomes an error instead of a stuck
 // goroutine.
 func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, error) {
-	first, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if err := br.UnreadByte(); err != nil {
+	if _, err := br.Peek(1); err != nil {
 		return nil, err
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(wireIOTimeout)); err != nil {
@@ -186,13 +150,20 @@ func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, error) {
 	if n > maxWireFrame {
 		return nil, fmt.Errorf("transport: wire frame of %d bytes exceeds limit", n)
 	}
-	// A fresh exact-size buffer per frame: the decoded batch aliases it, so
-	// it is handed over with the items rather than pooled and reused.
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("transport: wire frame body: %w", err)
+	// A fresh buffer per frame: the decoded batch aliases it, so it is
+	// handed over with the items rather than pooled and reused. It grows
+	// only as body bytes arrive (at most frameReadChunk, or its own size,
+	// ahead of them), so a header that merely claims a huge frame costs the
+	// sender the bytes, not the server the allocation.
+	var body []byte
+	for uint64(len(body)) < n {
+		got := len(body)
+		body = slices.Grow(body, int(min(n-uint64(got), uint64(max(got, frameReadChunk)))))
+		body = body[:min(uint64(cap(body)), n)]
+		if _, err := io.ReadFull(br, body[got:]); err != nil {
+			return nil, fmt.Errorf("transport: wire frame body: %w", err)
+		}
 	}
-	_ = first
 	return checkCRC(body)
 }
 
@@ -336,9 +307,10 @@ type wireConn struct {
 	broken  error // set once the connection is unusable; fails new calls fast
 }
 
-// dialWire negotiates a binary connection to addr. A reachable peer that
-// does not complete the handshake yields errWireUnsupported, the signal to
-// fall back to gob on a fresh connection.
+// dialWire dials addr and negotiates a binary connection. Every failure —
+// the dial, the magic write, a missing or wrong ack — is a connection-level
+// error that IsTransient recognizes, so the caller's redial machinery
+// retries it like any other dead peer.
 func dialWire(addr string, dialTimeout, callTimeout time.Duration) (*wireConn, error) {
 	if dialTimeout <= 0 {
 		dialTimeout = DefaultDialTimeout
@@ -347,32 +319,31 @@ func dialWire(addr string, dialTimeout, callTimeout time.Duration) (*wireConn, e
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
+	if err := handshake(conn, dialTimeout); err != nil {
 		conn.Close()
-		return nil, err
-	}
-	if _, err := conn.Write(wireMagic[:]); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %v", errWireUnsupported, err)
-	}
-	var ack [4]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack != wireMagicAck {
-		// An old gob-only server reads the magic as a garbage gob frame and
-		// closes (or says nothing until the deadline); either way the
-		// address serves RPC, just not this protocol.
-		conn.Close()
-		if err == nil {
-			err = fmt.Errorf("bad ack % x", ack)
-		}
-		return nil, fmt.Errorf("%w: %v", errWireUnsupported, err)
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: wire handshake with %s: %w", addr, err)
 	}
 	wc := &wireConn{conn: conn, timeout: callTimeout, pending: make(map[uint64]chan wireResult)}
 	go wc.readLoop()
 	return wc, nil
+}
+
+// handshake sends the magic and waits for the ack, bounded by timeout.
+func handshake(conn net.Conn, timeout time.Duration) error {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	if _, err := conn.Write(wireMagic[:]); err != nil {
+		return err
+	}
+	var ack [4]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		return err
+	}
+	if ack != wireMagicAck {
+		return fmt.Errorf("bad ack % x: %w", ack, io.ErrUnexpectedEOF)
+	}
+	return conn.SetDeadline(time.Time{})
 }
 
 // readLoop dispatches reply frames to their waiting calls until the
@@ -479,11 +450,8 @@ func (w *wireConn) call(method uint8, stream, pos int64, b core.Batch) (int, err
 	}
 }
 
-// Close tears the connection down, failing any in-flight calls.
-func (w *wireConn) close() error {
-	w.fail(errors.New("connection closed"))
-	return nil
-}
+// close tears the connection down, failing any in-flight calls.
+func (w *wireConn) close() { w.fail(errors.New("connection closed")) }
 
 // isBroken reports whether the connection has failed and should be
 // replaced rather than reused.
@@ -491,101 +459,6 @@ func (w *wireConn) isBroken() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.broken != nil
-}
-
-// wireCaller adapts a wireConn to the caller interface the sinks and fault
-// layer use, translating the net/rpc method names and arg structs the rest
-// of the package speaks. Methods outside the data plane are rejected —
-// control traffic belongs on net/rpc.
-type wireCaller struct {
-	wc *wireConn
-}
-
-func (c *wireCaller) Call(serviceMethod string, args any, reply any) error {
-	switch a := args.(type) {
-	case ForwardArgs:
-		n, err := c.wc.call(wireForward, a.Stream, a.Epoch, a.Batch)
-		if rep, ok := reply.(*SubmitReply); ok && err == nil {
-			rep.Accepted = n
-		}
-		return err
-	case IngestArgs:
-		_, err := c.wc.call(wireIngest, a.Stream, a.Epoch, core.Batch{Payloads: a.Items})
-		if ack, ok := reply.(*bool); ok && err == nil {
-			*ack = true
-		}
-		return err
-	case SubmitBatchArgs:
-		n, err := c.wc.call(wireSubmitBatch, a.Stream, a.Seq, core.Batch{Envelopes: a.Envelopes})
-		if rep, ok := reply.(*SubmitReply); ok && err == nil {
-			rep.Accepted = n
-		}
-		return err
-	case SubmitBlindedBatchArgs:
-		n, err := c.wc.call(wireSubmitBlinded, a.Stream, a.Seq, core.Batch{Blinded: a.Envelopes})
-		if rep, ok := reply.(*SubmitReply); ok && err == nil {
-			rep.Accepted = n
-		}
-		return err
-	}
-	return fmt.Errorf("transport: %s is not carried on the binary wire", serviceMethod)
-}
-
-func (c *wireCaller) Close() error { return c.wc.close() }
-
-// wireMethods are the batch calls carried on the binary protocol; the
-// single-envelope Shuffler.Submit stays on gob (it has no batch encoding
-// and no hot path). dataMethods additionally lists every call the per-call
-// timeout applies to on the gob data plane. Control RPCs are exempt from
-// both: Drain legitimately blocks for as long as the barrier takes.
-var wireMethods = map[string]bool{
-	"Shuffler.SubmitBatch":        true,
-	"Shuffler.SubmitBlindedBatch": true,
-	"Shuffler.Forward":            true,
-	"Analyzer.Ingest":             true,
-}
-
-var dataMethods = map[string]bool{
-	"Shuffler.Submit":             true,
-	"Shuffler.SubmitBatch":        true,
-	"Shuffler.SubmitBlindedBatch": true,
-	"Shuffler.Forward":            true,
-	"Analyzer.Ingest":             true,
-}
-
-// timeoutCaller bounds data-plane calls on a gob connection the same way
-// wireConn bounds binary calls: a hung peer fails the call with a deadline
-// error (transient, so the pusher redials) instead of wedging the flusher.
-type timeoutCaller struct {
-	cl      *rpc.Client
-	timeout time.Duration
-}
-
-func (t *timeoutCaller) Call(serviceMethod string, args any, reply any) error {
-	return callRPCTimeout(t.cl, serviceMethod, args, reply, t.timeout)
-}
-
-func (t *timeoutCaller) Close() error { return t.cl.Close() }
-
-// callRPCTimeout issues one net/rpc call, bounding data-plane methods by
-// timeout. On expiry the client is closed — the only way to abandon a gob
-// call — so the shared connection's other in-flight calls fail transient
-// and redial, exactly as if the peer had died (from the caller's view, it
-// has).
-func callRPCTimeout(cl *rpc.Client, serviceMethod string, args, reply any, timeout time.Duration) error {
-	if timeout <= 0 || !dataMethods[serviceMethod] {
-		return cl.Call(serviceMethod, args, reply)
-	}
-	call := cl.Go(serviceMethod, args, reply, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-call.Done:
-		return call.Error
-	case <-timer.C:
-		cl.Close()
-		return fmt.Errorf("transport: %s timed out after %v: %w", serviceMethod, timeout, os.ErrDeadlineExceeded)
-	}
 }
 
 // wireTimeout resolves the per-call data-plane bound (0 selects the
@@ -600,52 +473,17 @@ func (cfg EpochConfig) wireTimeout() time.Duration {
 	return cfg.WireTimeout
 }
 
-// wireHandler is the server half of the data plane: each service maps the
-// method ids onto the same RPC handlers gob requests hit, so dedup,
-// backpressure, and WAL semantics are identical across protocols.
+// wireHandler is the server half of the data plane: a service that
+// ingests batches implements it, and serveWireConn routes every request
+// frame to it. It returns the accepted count acknowledged to the sender.
 type wireHandler interface {
-	serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error
+	serveWire(method uint8, stream, pos int64, b core.Batch) (int, error)
 }
 
-func (s *ShufflerService) serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error {
-	switch method {
-	case wireSubmitBatch:
-		return s.SubmitBatch(SubmitBatchArgs{Envelopes: b.Envelopes, Stream: stream, Seq: pos}, reply)
-	case wireForward:
-		return s.Forward(ForwardArgs{Stream: stream, Epoch: pos, Batch: b}, reply)
-	}
-	return fmt.Errorf("transport: shuffler does not serve wire method %d", method)
-}
-
-func (s *BlindedShufflerService) serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error {
-	switch method {
-	case wireSubmitBlinded:
-		return s.SubmitBlindedBatch(SubmitBlindedBatchArgs{Envelopes: b.Blinded, Stream: stream, Seq: pos}, reply)
-	case wireForward:
-		return s.Forward(ForwardArgs{Stream: stream, Epoch: pos, Batch: b}, reply)
-	}
-	return fmt.Errorf("transport: blinded shuffler does not serve wire method %d", method)
-}
-
-func (a *AnalyzerService) serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error {
-	if method != wireIngest {
-		return fmt.Errorf("transport: analyzer does not serve wire method %d", method)
-	}
-	if k := b.Kind(); k != core.KindPayloads && k != core.KindEmpty {
-		return fmt.Errorf("transport: analyzer ingests %v, got %v", core.KindPayloads, k)
-	}
-	var ack bool
-	if err := a.Ingest(IngestArgs{Stream: stream, Epoch: pos, Items: b.Payloads}, &ack); err != nil {
-		return err
-	}
-	reply.Accepted = len(b.Payloads)
-	return nil
-}
-
-// RPCServer serves one registered receiver over both protocols: every
-// accepted connection is sniffed for the binary magic and served as framed
+// RPCServer serves one registered receiver on both planes: every accepted
+// connection is sniffed for the binary magic and served as framed
 // data-plane traffic on a match, or handed (peeked bytes intact) to net/rpc
-// otherwise. Serve wraps it with a listener; tests that manage their own
+// for control calls otherwise. Serve wraps it with a listener; tests that manage their own
 // listeners (crash harnesses that must sever live connections) drive
 // ServeConn directly.
 type RPCServer struct {
@@ -653,7 +491,8 @@ type RPCServer struct {
 	h   wireHandler // nil when rcvr has no data plane
 }
 
-// NewRPCServer registers rcvr under name for both protocols.
+// NewRPCServer registers rcvr's control RPCs under name and, when rcvr
+// ingests batches, its data-plane handler.
 func NewRPCServer(name string, rcvr any) (*RPCServer, error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(name, rcvr); err != nil {
@@ -705,19 +544,17 @@ func (s *RPCServer) serveWireConn(conn net.Conn, br *bufio.Reader) {
 		handlers.Add(1)
 		go func() {
 			defer handlers.Done()
-			var reply SubmitReply
-			var herr error
-			if s.h == nil {
-				herr = fmt.Errorf("transport: service has no binary data plane")
-			} else {
-				herr = s.h.serveWire(req.method, req.stream, req.pos, req.batch, &reply)
+			var accepted int
+			herr := errors.New("transport: service has no binary data plane")
+			if s.h != nil {
+				accepted, herr = s.h.serveWire(req.method, req.stream, req.pos, req.batch)
 			}
 			bufp := framePool.Get().(*[]byte)
 			var msg string
 			if herr != nil {
 				msg = herr.Error()
 			}
-			frame := finishFrame(encodeReply(*bufp, req.reqID, reply.Accepted, msg, herr != nil))
+			frame := finishFrame(encodeReply(*bufp, req.reqID, accepted, msg, herr != nil))
 			wmu.Lock()
 			werr := writeFrame(conn, frame)
 			wmu.Unlock()

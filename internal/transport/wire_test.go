@@ -1,43 +1,23 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/rpc"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"prochlo/internal/core"
 )
-
-func TestParseWireMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want WireMode
-		ok   bool
-	}{
-		{"", WireBinary, true},
-		{"binary", WireBinary, true},
-		{"gob", WireGob, true},
-		{"json", WireBinary, false},
-	} {
-		got, err := ParseWireMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseWireMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if WireBinary.String() != "binary" || WireGob.String() != "gob" {
-		t.Error("WireMode.String does not match the flag values")
-	}
-}
 
 // TestWireFrameRoundTrip covers the frame codec symmetrically and checks
 // that corrupting any body byte is caught by the checksum.
@@ -104,44 +84,36 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireClientBothProtocols drives the same traffic through a binary and
-// a gob client against one listener: both must negotiate, land every
-// report, and agree on the result.
+// TestWireClientBothProtocols drives one client against one listener on
+// both planes: the batch rides a negotiated binary connection, the Stats
+// and Drain control calls ride net/rpc, and every report lands.
 func TestWireClientBothProtocols(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	for _, mode := range []WireMode{WireBinary, WireGob} {
-		cl, err := Dial(rig.shuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.SetWire(mode)
-		batch := make([]core.Envelope, 8)
-		for i := range batch {
-			batch[i] = rig.envelope(t, "c:wire", "wire-"+mode.String())
-		}
-		if err := cl.SubmitBatch(batch); err != nil {
-			t.Fatalf("%v submit: %v", mode, err)
-		}
-		cl.mu.Lock()
-		negotiated := cl.wc != nil
-		cl.mu.Unlock()
-		if want := mode == WireBinary; negotiated != want {
-			t.Fatalf("%v client: binary conn negotiated = %v, want %v", mode, negotiated, want)
-		}
-		cl.Close()
-	}
-	var st ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Accepted != 16 {
-		t.Fatalf("accepted = %d, want 16 (8 per protocol)", st.Accepted)
-	}
 	cl, err := Dial(rig.shuf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	batch := make([]core.Envelope, 8)
+	for i := range batch {
+		batch[i] = rig.envelope(t, "c:wire", "wire-value")
+	}
+	if err := cl.SubmitBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	cl.mu.Lock()
+	negotiated := cl.wc != nil
+	cl.mu.Unlock()
+	if !negotiated {
+		t.Fatal("submission did not negotiate a binary data-plane connection")
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Accepted != 8 {
+		t.Fatalf("accepted = %d, want 8", st.Accepted)
+	}
 	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +126,17 @@ func TestWireClientBothProtocols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["wire-binary"] != 8 || counts["wire-gob"] != 8 {
-		t.Fatalf("histogram = %v, want 8 of each", counts)
+	if counts["wire-value"] != 8 {
+		t.Fatalf("histogram = %v, want 8 wire-value", counts)
 	}
 }
 
-// TestWireGobOnlyServerFallback dials a binary-default client into a plain
-// net/rpc server (an old daemon): the handshake must fail cleanly and the
-// client must fall back to gob without losing the submission.
-func TestWireGobOnlyServerFallback(t *testing.T) {
+// TestWireHandshakeFailureIsTransient dials the data plane of a peer that
+// serves only net/rpc: the failed handshake must surface as an ordinary
+// connection error that IsTransient routes to the redial machinery, and
+// nothing may be ingested.
+func TestWireHandshakeFailureIsTransient(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	// A gob-only listener in front of the same service, bypassing RPCServer.
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Shuffler", rig.svc); err != nil {
 		t.Fatal(err)
@@ -184,27 +156,48 @@ func TestWireGobOnlyServerFallback(t *testing.T) {
 		}
 	}()
 
-	cl, err := Dial(l.Addr().String())
+	cl, err := DialTimeout(l.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	batch := []core.Envelope{rig.envelope(t, "c:fb", "fallback-value")}
-	if err := cl.SubmitBatch(batch); err != nil {
-		t.Fatalf("submit through gob-only server: %v", err)
+	err = cl.SubmitBatch([]core.Envelope{rig.envelope(t, "c:hs", "handshake-value")})
+	if err == nil {
+		t.Fatal("submission through a peer without a data plane succeeded")
 	}
-	cl.mu.Lock()
-	broken, negotiated := cl.wireBroken, cl.wc != nil
-	cl.mu.Unlock()
-	if !broken || negotiated {
-		t.Fatalf("fallback state: wireBroken=%v wc=%v, want true/nil", broken, negotiated)
+	if !IsTransient(err) {
+		t.Fatalf("failed handshake must be transient (redial), got %v", err)
 	}
 	var st ServiceStats
 	if err := rig.svc.Stats(struct{}{}, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Accepted != 1 {
-		t.Fatalf("accepted = %d, want 1", st.Accepted)
+	if st.Accepted != 0 {
+		t.Fatalf("accepted = %d, want 0", st.Accepted)
+	}
+}
+
+// TestReadFrameHostileLengthBoundsAlloc sends a frame header claiming the
+// maximum body and then hangs up: the reader must fail without reserving
+// the claimed size — the allocation may exceed the bytes that arrived by
+// no more than frameReadChunk.
+func TestReadFrameHostileLengthBoundsAlloc(t *testing.T) {
+	server, client := net.Pipe()
+	defer server.Close()
+	go func() {
+		defer client.Close()
+		hdr := binary.AppendUvarint(nil, maxWireFrame)
+		client.Write(append(hdr, 1, 2, 3)) //nolint:errcheck // the reader sees any failure
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bufio.NewReader(server), server)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated frame was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > frameReadChunk+1<<20 {
+		t.Fatalf("reading a 3-byte body of a frame claiming %d bytes allocated %d MiB", maxWireFrame, grew>>20)
 	}
 }
 
@@ -307,43 +300,6 @@ func TestWireHungPeerTimesOut(t *testing.T) {
 	}
 	if _, err := wc.call(wireIngest, 1, 2, core.Batch{}); err == nil {
 		t.Fatal("call on a broken connection succeeded")
-	}
-}
-
-// TestGobDataPlaneTimeout: the same hung-peer bound on the gob fallback —
-// a data method must time out, while the mechanism leaves control methods
-// (Drain barriers) unbounded by construction (dataMethods).
-func TestGobDataPlaneTimeout(t *testing.T) {
-	if dataMethods["Shuffler.Drain"] || dataMethods["Shuffler.Stats"] {
-		t.Fatal("control-plane methods must not be deadline-bounded (Drain blocks legitimately)")
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go io.Copy(io.Discard, conn) //nolint:errcheck // never reply
-		}
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := rpc.NewClient(conn)
-	defer cl.Close()
-	var reply SubmitReply
-	err = callRPCTimeout(cl, "Shuffler.Forward", ForwardArgs{Stream: 1, Epoch: 1}, &reply, 50*time.Millisecond)
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want a deadline error", err)
-	}
-	if !IsTransient(err) {
-		t.Fatalf("gob data-plane timeout must be transient: %v", err)
 	}
 }
 
@@ -494,9 +450,8 @@ func benchBatch(n, blobSize int) core.Batch {
 	return core.Batch{Envelopes: envs}
 }
 
-// BenchmarkWireCodec compares one marshal+unmarshal of a 500-envelope batch
-// through the binary codec against a persistent gob stream (net/rpc's
-// steady state, type metadata already amortized).
+// BenchmarkWireCodec measures one marshal+unmarshal of a 500-envelope batch
+// through the binary codec, including the receiver's fresh frame buffer.
 func BenchmarkWireCodec(b *testing.B) {
 	batch := benchBatch(500, 128)
 	b.Run("binary", func(b *testing.B) {
@@ -512,53 +467,31 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(len(arena)))
 	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var n int
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(batch); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-			var out core.Batch
-			if err := dec.Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(n))
-	})
 }
 
 // BenchmarkForwardPush measures one hop-to-hop Forward push end to end over
-// loopback TCP on each protocol. Every push reuses the same (stream, epoch),
-// so the receiver's dedup absorbs it after the first — the benchmark stays
+// loopback TCP. Every push reuses the same (stream, epoch), so the
+// receiver's dedup absorbs it after the first — the benchmark stays
 // allocation- and memory-flat and measures pure wire cost.
 func BenchmarkForwardPush(b *testing.B) {
 	rig := newStreamingRig(b, EpochConfig{})
 	batch := benchBatch(500, 128)
-	for _, mode := range []WireMode{WireBinary, WireGob} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cl, err := (EpochConfig{Wire: mode}).dialCaller(rig.shuf)
+	b.Run("binary", func(b *testing.B) {
+		cl, err := (EpochConfig{}).dialCaller(rig.shuf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			accepted, err := cl.call(wireForward, 77, 1, batch)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cl.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var reply SubmitReply
-				args := ForwardArgs{Stream: 77, Epoch: 1, Batch: batch}
-				if err := cl.Call("Shuffler.Forward", args, &reply); err != nil {
-					b.Fatal(err)
-				}
-				if reply.Accepted != batch.Len() {
-					b.Fatalf("accepted = %d, want %d", reply.Accepted, batch.Len())
-				}
+			if accepted != batch.Len() {
+				b.Fatalf("accepted = %d, want %d", accepted, batch.Len())
 			}
-		})
-	}
+		}
+	})
 }

@@ -61,7 +61,6 @@ type RemotePipeline struct {
 	retryDelay  time.Duration
 	dialTimeout time.Duration
 	attest      bool
-	wire        transport.WireMode
 	balCfg      transport.BalancerConfig
 	// redialAttempts/redialBase (when redialSet) tune every hop client's
 	// transient-retry budget; see WithRemoteRedial.
@@ -176,22 +175,6 @@ func WithRemoteMetrics(reg *MetricsRegistry, labels map[string]string) RemoteOpt
 	}
 }
 
-// WithRemoteWire selects the data-plane protocol for every hop client this
-// pipeline dials: "binary" (the default — the framed batch codec of
-// transport/wire.go, negotiated per connection with automatic gob fallback)
-// or "gob" (force the net/rpc data plane, for cross-version fleets and A/B
-// measurement). Control-plane RPCs always ride net/rpc.
-func WithRemoteWire(mode string) RemoteOption {
-	return func(r *RemotePipeline) error {
-		m, err := transport.ParseWireMode(mode)
-		if err != nil {
-			return err
-		}
-		r.wire = m
-		return nil
-	}
-}
-
 // WithRemoteRedial tunes every hop client's transient-failure retry budget
 // (see transport.Client.SetRedial): drain barriers and stamped submissions
 // redial a crashed replica up to attempts times with jittered backoff from
@@ -232,7 +215,6 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 				r.Close()
 				return fmt.Errorf("prochlo: dial shuffler %s: %w", addr, err)
 			}
-			cl.SetWire(r.wire)
 			if r.redialSet {
 				cl.SetRedial(r.redialAttempts, r.redialBase)
 			}
@@ -254,9 +236,6 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 	bcfg := r.balCfg
 	if bcfg.DialTimeout == 0 {
 		bcfg.DialTimeout = r.dialTimeout
-	}
-	if bcfg.Wire == transport.WireBinary {
-		bcfg.Wire = r.wire // WithRemoteWire unless WithBalancer forced gob
 	}
 	if r.redialSet && bcfg.Redials == 0 {
 		bcfg.Redials = r.redialAttempts
@@ -453,26 +432,10 @@ func (r *RemotePipeline) stampPartitions(envs []core.BlindedEnvelope, labels []s
 	}
 }
 
-// Submit encodes one report and ships it over the single-report RPC (the
-// compatibility path; fleets should batch with SubmitBatch). It pins the
-// first entry replica rather than balancing.
+// Submit encodes one report and ships it as a one-report SubmitBatch
+// (fleets should batch many reports per call).
 func (r *RemotePipeline) Submit(crowdLabel string, data []byte) error {
-	if r.mode == ModeBlinded {
-		env, err := r.benc.Encode(crowdLabel, data)
-		if err != nil {
-			return err
-		}
-		envs := []core.BlindedEnvelope{env}
-		r.stampPartitions(envs, []string{crowdLabel})
-		return r.retry(func() error {
-			return r.tiers[0][0].SubmitBlindedBatch(envs)
-		})
-	}
-	env, err := r.enc.Encode(core.Report{CrowdID: core.HashCrowdID(crowdLabel), Data: data})
-	if err != nil {
-		return err
-	}
-	return r.retry(func() error { return r.tiers[0][0].Submit(env) })
+	return r.SubmitBatch([]string{crowdLabel}, [][]byte{data})
 }
 
 // SubmitBatch encodes a batch of reports on the worker pool and ships the
@@ -512,20 +475,6 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 		// The accepted prefix is ingested; resubmitting the whole batch
 		// would double-count it. Tell the caller exactly where to resume.
 		return fmt.Errorf("prochlo: batch partially submitted (%d of %d reports accepted): %w", n, len(labels), err)
-	}
-	return err
-}
-
-// retry runs submit, backing off and resubmitting while the entry hop
-// reports epoch-full backpressure. It deliberately does not delegate to
-// Client.SubmitAll: Submit's purpose is to exercise the single-report RPC
-// (the compatibility path), which SubmitAll would silently replace with the
-// batch RPC.
-func (r *RemotePipeline) retry(submit func() error) error {
-	err := submit()
-	for attempt := 0; transport.IsEpochFull(err) && attempt < r.retries; attempt++ {
-		time.Sleep(r.retryDelay)
-		err = submit()
 	}
 	return err
 }

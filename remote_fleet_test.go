@@ -26,8 +26,8 @@ import (
 // service — fine when each phase re-dials, but a fleet's long-lived balancer
 // and drain clients must instead see the connection sever and redial the
 // WAL-recovered successor at the same address. Connections are served
-// through transport.RPCServer, so the soak exercises whichever data-plane
-// protocol (binary or gob) the fleet under test negotiates.
+// through transport.RPCServer, so the soak exercises both the binary data
+// plane and the net/rpc control plane.
 type trackedServer struct {
 	l     net.Listener
 	mu    sync.Mutex
@@ -163,8 +163,8 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// Replica state, guarded by mu: the seeded kill hook mutates it from a
 	// hop-1 flusher goroutine while the test goroutine reads it.
 	var mu sync.Mutex
-	s1svcs := make([]*transport.BlindedShufflerService, 2)
-	s2svcs := make([]*transport.BlindedShufflerService, 2)
+	s1svcs := make([]*transport.ShufflerService, 2)
+	s2svcs := make([]*transport.ShufflerService, 2)
 	s1Srvs := make([]*trackedServer, 2)
 	s2Srvs := make([]*trackedServer, 2)
 	s1WALs := [2]string{t.TempDir(), t.TempDir()}
@@ -187,7 +187,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 			Rand: workload.NewRand(uint64(20 + i)), MinBatch: 1,
 		}
 		svc, err := transport.NewShuffler2FleetService(s2, anlzAddrs,
-			transport.EpochConfig{WALDir: s2WALs[i], Fault: s2Faults[i], Wire: testWire(t)})
+			transport.EpochConfig{WALDir: s2WALs[i], Fault: s2Faults[i]})
 		if err != nil {
 			return err
 		}
@@ -236,7 +236,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		}
 		s1.MinBatch = 1
 		svc, err := transport.NewShuffler1FleetService(s1, s2Addrs,
-			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WALs[i], Fault: s1Faults[i], Wire: testWire(t)})
+			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WALs[i], Fault: s1Faults[i]})
 		if err != nil {
 			return err
 		}
@@ -275,11 +275,9 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// balancer, and the drain barrier all live through the replica deaths.
 	rp, err := prochlo.DialRemoteChainFleet(s1Addrs, s2Addrs, anlzAddrs,
 		prochlo.WithRemoteWorkers(1),
-		prochlo.WithRemoteWire(testWire(t).String()),
 		prochlo.WithBalancer(transport.BalancerConfig{
 			ProbeInterval:    15 * time.Millisecond,
 			BreakerThreshold: 2,
-			Wire:             testWire(t),
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +429,7 @@ func newFleetRig(tb testing.TB, replicas int) *fleetRig {
 			Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
 			Rand:      workload.NewRand(uint64(40 + i)), MinBatch: 1,
 		}
-		svc, err := transport.NewShuffler2FleetService(s2, rig.anlzAddrs, transport.EpochConfig{Wire: testWire(tb)})
+		svc, err := transport.NewShuffler2FleetService(s2, rig.anlzAddrs, transport.EpochConfig{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -449,7 +447,7 @@ func newFleetRig(tb testing.TB, replicas int) *fleetRig {
 			tb.Fatal(err)
 		}
 		s1.MinBatch = 1
-		svc, err := transport.NewShuffler1FleetService(s1, rig.s2Addrs, transport.EpochConfig{Wire: testWire(tb)})
+		svc, err := transport.NewShuffler1FleetService(s1, rig.s2Addrs, transport.EpochConfig{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -477,8 +475,7 @@ func BenchmarkRemoteChainFleet(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rig := newFleetRig(b, replicas)
-				rp, err := prochlo.DialRemoteChainFleet(rig.s1Addrs, rig.s2Addrs, rig.anlzAddrs,
-					prochlo.WithRemoteWire(testWire(b).String()))
+				rp, err := prochlo.DialRemoteChainFleet(rig.s1Addrs, rig.s2Addrs, rig.anlzAddrs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -60,7 +60,7 @@ func newRemoteRig(t testing.TB, seed uint64, workers int, cfg transport.EpochCon
 		Rand:      rng,
 		Workers:   workers,
 	}
-	svc, err := transport.NewStreamingShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String(), cfg)
+	svc, err := transport.NewStageShufflerFleetService(sh, shufPriv.Public().Bytes(), []string{anlzL.Addr().String()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 // BenchmarkRemotePipeline measures the daemon deployment end to end —
 // encode, batched RPC over loopback TCP, shuffle, push, analyze — per
 // report, for comparison against the in-process BenchmarkEndToEndPipeline:
-// the difference is the transport's round-trip and gob cost.
+// the difference is the transport's round-trip and codec cost.
 func BenchmarkRemotePipeline(b *testing.B) {
 	const batch = 500
 	labels, data := sampleReports(batch)
@@ -239,48 +239,35 @@ func BenchmarkRemotePipeline(b *testing.B) {
 
 // BenchmarkRemotePipelineWAL is BenchmarkRemotePipeline with the shuffler's
 // write-ahead log enabled, so BENCH_pipeline.json tracks the durability
-// tax. Sub-benchmarks sweep the fsync cadence: the every-append default
-// (safest) against a relaxed 64-append cadence that trades a short
-// accepted-but-unsynced tail for throughput.
+// tax: every stamped submission is one fsynced WAL record. (The
+// sub-benchmark name keeps the recorded trajectory's row name.)
 func BenchmarkRemotePipelineWAL(b *testing.B) {
-	cadences := []struct {
-		name string
-		sync int
-	}{
-		{"sync-every-append", 0}, // the full-durability default
-		{"sync-every-64", 64},
-	}
-	for _, tc := range cadences {
-		b.Run(tc.name, func(b *testing.B) {
-			const batch = 500
-			labels, data := sampleReports(batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rig := newRemoteRig(b, 42, 0, transport.EpochConfig{
-					WALDir:  b.TempDir(),
-					WALSync: tc.sync,
-				})
-				rp, err := prochlo.DialRemote(rig.shufL.Addr().String(), rig.anlzL.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := rp.SubmitBatch(labels, data); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := rp.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				rp.Close()
+	b.Run("sync-every-append", func(b *testing.B) {
+		const batch = 500
+		labels, data := sampleReports(batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rig := newRemoteRig(b, 42, 0, transport.EpochConfig{WALDir: b.TempDir()})
+			rp, err := prochlo.DialRemote(rig.shufL.Addr().String(), rig.anlzL.Addr().String())
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
-		})
-	}
+			if err := rp.SubmitBatch(labels, data); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rp.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			rp.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
+	})
 }
 
-// TestRemoteSubmitSingleMatchesInProcess drives the single-envelope Submit
-// compatibility path end to end and checks it against the in-process
-// pipeline's serial Submit under the same seed.
+// TestRemoteSubmitSingleMatchesInProcess drives one-report Submit calls end
+// to end and checks them against the in-process pipeline's serial Submit
+// under the same seed.
 func TestRemoteSubmitSingleMatchesInProcess(t *testing.T) {
 	const seed = 77
 	labels, data := sampleReports(60)
@@ -330,15 +317,13 @@ func TestRemoteSubmitSingleMatchesInProcess(t *testing.T) {
 // same per-stage RNG streams prochlo.WithSeed derives, so a seeded chain
 // reproduces the in-process ModeBlinded pipeline.
 type chainRig struct {
-	s1svc           *transport.BlindedShufflerService
-	s2svc           *transport.BlindedShufflerService
+	s1svc           *transport.ShufflerService
+	s2svc           *transport.ShufflerService
 	s1L, s2L, anlzL net.Listener
 }
 
 func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, s1cfg, s2cfg transport.EpochConfig) *chainRig {
 	t.Helper()
-	s1cfg.Wire = testWire(t)
-	s2cfg.Wire = testWire(t)
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +352,7 @@ func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, 
 		Blinding: blindKP, Priv: s2Priv, Threshold: th, Rand: rng2,
 		MinBatch: 1, Workers: workers,
 	}
-	s2svc, err := transport.NewShuffler2Service(s2, anlzL.Addr().String(), s2cfg)
+	s2svc, err := transport.NewShuffler2FleetService(s2, []string{anlzL.Addr().String()}, s2cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +374,7 @@ func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, 
 	}
 	s1.MinBatch = 1
 	s1.Workers = workers
-	s1svc, err := transport.NewShuffler1Service(s1, s2L.Addr().String(), s1cfg)
+	s1svc, err := transport.NewShuffler1FleetService(s1, []string{s2L.Addr().String()}, s1cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +392,7 @@ func (r *chainRig) dial(t testing.TB, workers int) *prochlo.RemotePipeline {
 	t.Helper()
 	rp, err := prochlo.DialRemoteChain(
 		r.s1L.Addr().String(), r.s2L.Addr().String(), r.anlzL.Addr().String(),
-		prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(testWire(t).String()))
+		prochlo.WithRemoteWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,24 +419,17 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 		name      string
 		workers   int
 		shards    int
-		s2FlushAt int    // 0: hop 2 cuts only on drain; chunk: auto-flush
-		wire      string // "": the PROCHLO_WIRE/binary default
+		s2FlushAt int // 0: hop 2 cuts only on drain; chunk: auto-flush
 	}{
-		{"serial-1shard", 1, 1, 0, ""},
-		{"workers2-3shards", 2, 3, chunk, ""},
-		{"gomaxprocs", runtime.GOMAXPROCS(0), 0, chunk, ""},
-		// The gob fallback protocol must produce the identical histogram —
-		// the wire format may never change results.
-		{"gob-wire", 2, 3, chunk, "gob"},
+		{"serial-1shard", 1, 1, 0},
+		{"workers2-3shards", 2, 3, chunk},
+		{"gomaxprocs", runtime.GOMAXPROCS(0), 0, chunk},
 	}
 	var want []byte
 	var wantStats shuffler.Stats
 	var wantUndec int
 	for ci, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.wire != "" {
-				t.Setenv("PROCHLO_WIRE", tc.wire)
-			}
 			// In-process reference: same seed, same chunk boundaries.
 			p, err := prochlo.New(prochlo.WithSeed(seed), prochlo.WithMode(prochlo.ModeBlinded),
 				prochlo.WithWorkers(tc.workers))
@@ -644,18 +622,6 @@ func faultSeed(t *testing.T, def int64) int64 {
 	return seed
 }
 
-// testWire resolves the PROCHLO_WIRE override ("binary" or "gob"; empty
-// selects the binary default). CI runs the soaks under both values so
-// protocol negotiation and crash recovery stay interoperable; tests pin a
-// protocol per subtest with t.Setenv.
-func testWire(tb testing.TB) transport.WireMode {
-	m, err := transport.ParseWireMode(os.Getenv("PROCHLO_WIRE"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m
-}
-
 // TestRemoteChainCrashRestartSoak is the crash-safety acceptance run: the
 // seeded two-hop chain runs with the WAL enabled at both hops and fault
 // injection on both inter-stage links, each shuffler hop is killed
@@ -727,7 +693,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	s2Fault := &transport.FaultPlan{Seed: fs + 1, PDropAck: 1, MaxFaults: 1}
 	s1WAL, s2WAL := t.TempDir(), t.TempDir()
 
-	var s1svc, s2svc *transport.BlindedShufflerService
+	var s1svc, s2svc *transport.ShufflerService
 	var s1L, s2L net.Listener
 	serveAt := func(addr, name string, svc any) net.Listener {
 		// Restarts rebind the dead hop's concrete address so the upstream
@@ -749,8 +715,8 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 			Rand: workload.NewRand(2), MinBatch: 1,
 		}
 		var err error
-		s2svc, err = transport.NewShuffler2Service(s2, anlzL.Addr().String(),
-			transport.EpochConfig{WALDir: s2WAL, Fault: s2Fault, Wire: testWire(t)})
+		s2svc, err = transport.NewShuffler2FleetService(s2, []string{anlzL.Addr().String()},
+			transport.EpochConfig{WALDir: s2WAL, Fault: s2Fault})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -762,8 +728,8 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		s1.MinBatch = 1
-		s1svc, err = transport.NewShuffler1Service(s1, s2L.Addr().String(),
-			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WAL, Fault: s1Fault, Wire: testWire(t)})
+		s1svc, err = transport.NewShuffler1FleetService(s1, []string{s2L.Addr().String()},
+			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WAL, Fault: s1Fault})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -903,7 +869,7 @@ func TestRemoteSGXAttestation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.Seed = 7
-	svc, err := transport.NewStageShufflerService(sh, quote.ReportData, anlzL.Addr().String(), transport.EpochConfig{})
+	svc, err := transport.NewStageShufflerFleetService(sh, quote.ReportData, []string{anlzL.Addr().String()}, transport.EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

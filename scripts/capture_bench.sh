@@ -9,8 +9,8 @@
 # tracks the replicated chain with its balanced entry tier and partitioned
 # fan-in against the one-replica-per-tier baseline), the WAL durability tax
 # (BenchmarkRemotePipelineWAL, matched by
-# the BenchmarkRemotePipeline pattern, captures WAL-on vs WAL-off and the
-# fsync-cadence sweep next to the WAL-off baseline), and the hybrid
+# the BenchmarkRemotePipeline pattern, captures WAL-on next to the WAL-off
+# baseline), and the hybrid
 # Seal/Open allocation counts. A seeded prochloload macro sweep
 # (1x1x1 and 2x2x2 loopback fleets, closed loop) lands in the same file
 # under "macro", so the per-commit artifact carries both the per-stage
@@ -24,9 +24,8 @@
 # uncached HashToPoint path. scripts/bench_delta.sh diffs two captures.
 #
 # A third artifact, BENCH_wire.json, tracks the data-plane wire protocol:
-# BenchmarkWireCodec (one batch marshal+unmarshal, binary codec vs a
-# persistent gob stream) and BenchmarkForwardPush (a hop-to-hop Forward
-# push over loopback TCP, binary frames vs gob/net-rpc).
+# BenchmarkWireCodec (one batch marshal+unmarshal through the binary codec)
+# and BenchmarkForwardPush (a hop-to-hop Forward push over loopback TCP).
 #
 # Usage: scripts/capture_bench.sh [benchtime]    (default: 3x)
 set -euo pipefail
@@ -94,7 +93,7 @@ go test -run '^$' \
 
 echo "wrote BENCH_crypto.json"
 
-# Wire-protocol rows: the binary-vs-gob codec and push benchmarks.
+# Wire-protocol rows: the codec and push benchmarks.
 go test -run '^$' -bench 'BenchmarkWireCodec|BenchmarkForwardPush' \
   -benchtime "$benchtime" -benchmem ./internal/transport | tee -a "$wire"
 
