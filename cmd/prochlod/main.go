@@ -80,7 +80,6 @@ import (
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/crypto/elgamal"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/metrics"
@@ -98,7 +97,6 @@ func main() {
 	partitions := flag.Int("partitions", 0, "downstream partition count advertised over Healthz (0 = number of -next addresses)")
 	peers := flag.String("peer", "", "comma-separated sibling replicas of this daemon's tier, advertised over Healthz")
 	workers := flag.Int("workers", 0, "worker pool size per stage (0 = GOMAXPROCS, 1 = serial)")
-	groupName := flag.String("group", "", "elliptic-group backend for this daemon's keys: ristretto255 (the default) or p256; every stage of a chain and its clients must agree")
 	sgxMode := flag.Bool("sgx", false, "shuffler role only: run inside a simulated SGX enclave (oblivious Stash Shuffle, key served with an attestation quote)")
 
 	thresholdT := flag.Int("threshold", 20, "crowd threshold T (0 disables thresholding)")
@@ -133,13 +131,6 @@ func main() {
 	if len(nexts) > 1 && !*fleetMode {
 		fatal(errors.New("multiple -next addresses require -fleet (partition order must be deliberate and identical across the tier)"))
 	}
-	grp, err := group.ByName(*groupName)
-	if err != nil {
-		fatal(err)
-	}
-	if *sgxMode && *groupName != "" && *groupName != group.Default().Name() {
-		fatal(errors.New("-group is incompatible with -sgx: the enclave attests a key on the default backend"))
-	}
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
@@ -164,7 +155,6 @@ func main() {
 		workers: *workers, thresholdT: *thresholdT, minBatch: *minBatch,
 		noiseD: *noiseD, noiseSigma: *noiseSigma,
 		seed: *seed, sgx: *sgxMode,
-		group:         grp,
 		partitions:    *partitions,
 		peers:         splitAddrs(*peers),
 		statsInterval: *statsInterval,
@@ -176,7 +166,7 @@ func main() {
 
 	switch *role {
 	case "analyzer":
-		runAnalyzer(*listen, *workers, *statsInterval, *keyFile, grp, *metricsAddr, reg)
+		runAnalyzer(*listen, *workers, *statsInterval, *keyFile, *metricsAddr, reg)
 	case "shuffler":
 		runShuffler(o)
 	case "shuffler1":
@@ -285,8 +275,8 @@ func serviceSnapshot(svc statser) func() (string, error) {
 	}
 }
 
-func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFile string, g group.Group, metricsAddr string, reg *metrics.Registry) {
-	priv, _, err := loadKeys(keyFile, g, false)
+func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFile string, metricsAddr string, reg *metrics.Registry) {
+	priv, _, err := loadKeys(keyFile, false)
 	if err != nil {
 		fatal(err)
 	}
@@ -326,9 +316,8 @@ type shufflerOpts struct {
 	noiseD, noiseSigma            float64
 	seed                          uint64
 	sgx                           bool
-	group                         group.Group // elliptic-group backend for this daemon's keys
-	partitions                    int         // advertised downstream partition count; 0 infers len(nexts)
-	peers                         []string    // sibling replicas advertised over Healthz
+	partitions                    int      // advertised downstream partition count; 0 infers len(nexts)
+	peers                         []string // sibling replicas advertised over Healthz
 	statsInterval                 time.Duration
 	keyFile                       string
 	cfg                           transport.EpochConfig
@@ -363,11 +352,8 @@ func (o shufflerOpts) nextList() string { return strings.Join(o.nexts, ",") }
 // scalars, one per line: the hybrid decryption key, plus the El Gamal
 // blinding secret when wantBlinding (the shuffler2 role). An empty path
 // generates ephemeral keys — fine until the daemon must decrypt reports it
-// recovered from a WAL written by its predecessor. Keys are generated and
-// parsed on g, the daemon's -group backend: a key file written under one
-// backend is a plain scalar, so it reloads cleanly under either, but the
-// derived public keys differ — keep -group stable across restarts.
-func loadKeys(path string, g group.Group, wantBlinding bool) (*hybrid.PrivateKey, *elgamal.KeyPair, error) {
+// recovered from a WAL written by its predecessor.
+func loadKeys(path string, wantBlinding bool) (*hybrid.PrivateKey, *elgamal.KeyPair, error) {
 	if path != "" {
 		if raw, err := os.ReadFile(path); err == nil {
 			lines := strings.Fields(string(raw))
@@ -382,7 +368,7 @@ func loadKeys(path string, g group.Group, wantBlinding bool) (*hybrid.PrivateKey
 			if err != nil {
 				return nil, nil, fmt.Errorf("key file %s: %w", path, err)
 			}
-			priv, err := hybrid.ParsePrivateKeyGroup(g, kb)
+			priv, err := hybrid.ParsePrivateKey(kb)
 			if err != nil {
 				return nil, nil, fmt.Errorf("key file %s: %w", path, err)
 			}
@@ -392,7 +378,7 @@ func loadKeys(path string, g group.Group, wantBlinding bool) (*hybrid.PrivateKey
 				if err != nil {
 					return nil, nil, fmt.Errorf("key file %s: %w", path, err)
 				}
-				if blind, err = elgamal.NewKeyPairGroup(g, new(big.Int).SetBytes(xb)); err != nil {
+				if blind, err = elgamal.NewKeyPair(new(big.Int).SetBytes(xb)); err != nil {
 					return nil, nil, fmt.Errorf("key file %s: %w", path, err)
 				}
 			}
@@ -402,13 +388,13 @@ func loadKeys(path string, g group.Group, wantBlinding bool) (*hybrid.PrivateKey
 			return nil, nil, err
 		}
 	}
-	priv, err := hybrid.GenerateKeyGroup(g, crand.Reader)
+	priv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		return nil, nil, err
 	}
 	var blind *elgamal.KeyPair
 	if wantBlinding {
-		if blind, err = elgamal.GenerateKeyPairGroup(g, crand.Reader); err != nil {
+		if blind, err = elgamal.GenerateKeyPair(crand.Reader); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -526,7 +512,7 @@ func runShuffler(o shufflerOpts) {
 		}
 		fmt.Println("sgx: key attested, measurement", hex.EncodeToString(shuffler.SGXShufflerMeasurement[:8]))
 	} else {
-		priv, _, kerr := loadKeys(o.keyFile, o.group, false)
+		priv, _, kerr := loadKeys(o.keyFile, false)
 		if kerr != nil {
 			fatal(kerr)
 		}
@@ -549,7 +535,7 @@ func runShuffler(o shufflerOpts) {
 }
 
 func runShuffler1(o shufflerOpts) {
-	s1, err := shuffler.NewShuffler1Group(o.group, stageRand(o.seed, "shuffler1"))
+	s1, err := shuffler.NewShuffler1(stageRand(o.seed, "shuffler1"))
 	if err != nil {
 		fatal(err)
 	}
@@ -566,7 +552,7 @@ func runShuffler1(o shufflerOpts) {
 }
 
 func runShuffler2(o shufflerOpts) {
-	priv, blindKP, err := loadKeys(o.keyFile, o.group, true)
+	priv, blindKP, err := loadKeys(o.keyFile, true)
 	if err != nil {
 		fatal(err)
 	}

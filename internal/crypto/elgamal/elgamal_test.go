@@ -11,18 +11,17 @@ import (
 	"prochlo/internal/crypto/group"
 )
 
-// testGroups runs a subtest per backend.
-func testGroups(t *testing.T, fn func(t *testing.T, g group.Group)) {
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		g := g
-		t.Run(g.Name(), func(t *testing.T) { fn(t, g) })
-	}
-}
+// curveName names the subtests and sub-benchmarks after the curve's
+// hash-to-group suite, which keeps test IDs and benchmark rows stable.
+const curveName = "ristretto255"
+
+// onCurve runs fn as the curve's subtest.
+func onCurve(t *testing.T, fn func(t *testing.T)) { t.Run(curveName, fn) }
 
 func TestHashToPointValid(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
+	onCurve(t, func(t *testing.T) {
 		for _, s := range []string{"", "a", "crowd-42", "the quick brown fox"} {
-			p := HashToPointGroup(g, []byte(s))
+			p := HashToPoint([]byte(s))
 			if p.IsInfinity() {
 				t.Errorf("HashToPoint(%q) is infinity", s)
 			}
@@ -48,12 +47,12 @@ func TestHashToPointDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	onCurve(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := HashToPointGroup(g, []byte("message"))
+		m := HashToPoint([]byte("message"))
 		ct, err := Encrypt(rand.Reader, kp.H, m)
 		if err != nil {
 			t.Fatal(err)
@@ -67,19 +66,19 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 // TestNewKeyPairRoundTrip: a key pair rebuilt from its persisted scalar
 // must decrypt ciphertexts encrypted to the original public key.
 func TestNewKeyPairRoundTrip(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	onCurve(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reloaded, err := NewKeyPairGroup(g, kp.X)
+		reloaded, err := NewKeyPair(kp.X)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reloaded.H.Equal(kp.H) {
 			t.Fatal("rebuilt public point differs")
 		}
-		m := HashToPointGroup(g, []byte("persisted"))
+		m := HashToPoint([]byte("persisted"))
 		ct, err := Encrypt(rand.Reader, kp.H, m)
 		if err != nil {
 			t.Fatal(err)
@@ -87,10 +86,10 @@ func TestNewKeyPairRoundTrip(t *testing.T) {
 		if got := reloaded.Decrypt(ct); !got.Equal(m) {
 			t.Fatal("rebuilt key pair did not decrypt")
 		}
-		if _, err := NewKeyPairGroup(g, nil); err == nil {
+		if _, err := NewKeyPair(nil); err == nil {
 			t.Fatal("nil scalar accepted")
 		}
-		if _, err := NewKeyPairGroup(g, g.Order()); err == nil {
+		if _, err := NewKeyPair(group.Order()); err == nil {
 			t.Fatal("scalar == order accepted")
 		}
 	})
@@ -110,9 +109,9 @@ func TestRandomizedCiphertexts(t *testing.T) {
 // with α and decrypting, equal crowd IDs yield equal pseudonyms and distinct
 // crowd IDs yield distinct pseudonyms.
 func TestBlindingPreservesEquality(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, _ := GenerateKeyPairGroup(g, rand.Reader)
-		alpha, _ := RandomScalarGroup(g, rand.Reader)
+	onCurve(t, func(t *testing.T) {
+		kp, _ := GenerateKeyPair(rand.Reader)
+		alpha, _ := RandomScalar(rand.Reader)
 
 		ct1, _ := EncryptCrowdID(rand.Reader, kp.H, []byte("zip-94043"))
 		ct2, _ := EncryptCrowdID(rand.Reader, kp.H, []byte("zip-94043"))
@@ -164,8 +163,8 @@ func TestDifferentAlphaDifferentPseudonym(t *testing.T) {
 }
 
 func TestPointBytesRoundTrip(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		p := HashToPointGroup(g, []byte("round trip"))
+	onCurve(t, func(t *testing.T) {
+		p := HashToPoint([]byte("round trip"))
 		q, err := ParsePoint(p.Bytes())
 		if err != nil {
 			t.Fatal(err)
@@ -201,31 +200,24 @@ func TestParsePointRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestRandomScalarRejectionSampling is the regression test for the two
-// historical RandomScalar bugs: the retry loop returned unconditionally
-// (dead loop), and out-of-range candidates were folded back with Mod+Add,
-// biasing low scalars. With rejection sampling, an out-of-range first
-// candidate must be discarded and the next attempt's bytes used verbatim.
+// TestRandomScalarRejectionSampling checks that RandomScalar consumes a
+// fixed 64 bytes per attempt, stays in [1, l-1], and surfaces an exhausted
+// rng as an error instead of spinning or returning junk.
 func TestRandomScalarRejectionSampling(t *testing.T) {
 	want := big.NewInt(0x1234)
-	var second [32]byte
-	want.FillBytes(second[:])
-
-	// First 32 bytes decode to 2^256-1 >= N (must be rejected, where the
-	// old Mod+Add code would have produced ((2^256-1) mod (N-1)) + 1);
-	// next 32 bytes are the in-range candidate.
-	stream := append(bytes.Repeat([]byte{0xff}, 32), second[:]...)
-	k, err := RandomScalarGroup(group.P256, bytes.NewReader(stream))
+	var wide [64]byte
+	want.FillBytes(wide[:])
+	k, err := RandomScalar(bytes.NewReader(wide[:]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k.Cmp(want) != 0 {
-		t.Fatalf("rejection sampling broken: got %v want %v", k, want)
+		t.Fatalf("wide reduction: got %v want %v", k, want)
 	}
 
-	// a zero candidate must be rejected too
-	stream = append(make([]byte, 32), second[:]...)
-	k, err = RandomScalarGroup(group.P256, bytes.NewReader(stream))
+	// a zero candidate must be rejected and the next 64 bytes used
+	stream := append(make([]byte, 64), wide[:]...)
+	k, err = RandomScalar(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,19 +225,18 @@ func TestRandomScalarRejectionSampling(t *testing.T) {
 		t.Fatalf("zero candidate not rejected: got %v", k)
 	}
 
-	// an exhausted rng must surface an error, not spin or return junk
-	if _, err := RandomScalarGroup(group.P256, bytes.NewReader(bytes.Repeat([]byte{0xff}, 40))); err == nil {
+	if _, err := RandomScalar(bytes.NewReader(bytes.Repeat([]byte{0xff}, 40))); err == nil {
 		t.Fatal("truncated rng accepted")
 	}
 
-	// range check on both backends
-	testGroups(t, func(t *testing.T, g group.Group) {
+	// range check
+	onCurve(t, func(t *testing.T) {
 		for i := 0; i < 30; i++ {
-			k, err := RandomScalarGroup(g, rand.Reader)
+			k, err := RandomScalar(rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k.Sign() <= 0 || k.Cmp(g.Order()) >= 0 {
+			if k.Sign() <= 0 || k.Cmp(group.Order()) >= 0 {
 				t.Fatalf("scalar %v out of range", k)
 			}
 		}
@@ -253,16 +244,16 @@ func TestRandomScalarRejectionSampling(t *testing.T) {
 }
 
 func TestBlinderMatchesBlind(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	onCurve(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha, err := RandomScalarGroup(g, rand.Reader)
+		alpha, err := RandomScalar(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBlinderGroup(g, alpha)
+		b := NewBlinder(alpha)
 		for i := 0; i < 8; i++ {
 			ct, err := EncryptCrowdID(rand.Reader, kp.H, []byte{byte(i)})
 			if err != nil {
@@ -278,13 +269,13 @@ func TestBlinderMatchesBlind(t *testing.T) {
 }
 
 func TestDecrypterMatchesKeyPair(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	onCurve(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := kp.Decrypter()
-		alpha, err := RandomScalarGroup(g, rand.Reader)
+		alpha, err := RandomScalar(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +299,8 @@ func TestDecrypterMatchesKeyPair(t *testing.T) {
 // the reference EncryptCrowdID: same rng stream, same ciphertext — on both
 // a cold and a warm hash-point cache.
 func TestEncrypterMatchesEncryptCrowdID(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	onCurve(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,8 +330,8 @@ func TestEncrypterMatchesEncryptCrowdID(t *testing.T) {
 // byte-identical to per-report EncryptCrowdID calls on the same per-report
 // rng streams.
 func TestEncryptCrowdIDBatchMatchesSolo(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	onCurve(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +369,7 @@ func TestEncryptCrowdIDBatchMatchesSolo(t *testing.T) {
 }
 
 // fuzzCiphertexts derives n deterministic ciphertexts from a fuzz seed.
-func fuzzCiphertexts(g group.Group, kp *KeyPair, seed [32]byte, n int) ([]Ciphertext, error) {
+func fuzzCiphertexts(kp *KeyPair, seed [32]byte, n int) ([]Ciphertext, error) {
 	e := NewEncrypter(kp.H)
 	rng := mrand.NewChaCha8(seed)
 	cts := make([]Ciphertext, n)
@@ -392,41 +383,35 @@ func fuzzCiphertexts(g group.Group, kp *KeyPair, seed [32]byte, n int) ([]Cipher
 	return cts, nil
 }
 
-var fuzzKeys = func() map[string]*KeyPair {
-	out := map[string]*KeyPair{}
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
-		if err != nil {
-			panic(err)
-		}
-		out[g.Name()] = kp
+// fuzzKey is generated once; fuzzing exercises seed and batch-size space,
+// not key space.
+var fuzzKey = func() *KeyPair {
+	kp, err := GenerateKeyPair(rand.Reader)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return kp
 }()
 
 // FuzzBlindBatchEquivalence checks BlindBatch against the solo Blind path
-// on arbitrary seeds, sizes, and both backends.
+// on arbitrary seeds and sizes.
 func FuzzBlindBatchEquivalence(f *testing.F) {
-	f.Add([]byte("seed"), uint8(3), false)
-	f.Add([]byte{}, uint8(1), true)
-	f.Add([]byte{0xff, 0x01}, uint8(9), false)
-	f.Fuzz(func(t *testing.T, seedData []byte, n uint8, useP256 bool) {
-		g := group.Ristretto255
-		if useP256 {
-			g = group.P256
-		}
-		kp := fuzzKeys[g.Name()]
+	f.Add([]byte("seed"), uint8(3))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{0xff, 0x01}, uint8(9))
+	f.Fuzz(func(t *testing.T, seedData []byte, n uint8) {
+		kp := fuzzKey
 		var seed [32]byte
 		copy(seed[:], seedData)
-		cts, err := fuzzCiphertexts(g, kp, seed, int(n%16))
+		cts, err := fuzzCiphertexts(kp, seed, int(n%16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha, err := RandomScalarGroup(g, mrand.NewChaCha8(seed))
+		alpha, err := RandomScalar(mrand.NewChaCha8(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBlinderGroup(g, alpha)
+		b := NewBlinder(alpha)
 		batch := append([]Ciphertext(nil), cts...)
 		b.BlindBatch(batch)
 		for i, ct := range cts {
@@ -442,28 +427,24 @@ func FuzzBlindBatchEquivalence(f *testing.F) {
 }
 
 // FuzzDecryptBatchEquivalence checks DecryptBatch/PseudonymBatch against
-// the solo Decrypt path on arbitrary seeds, sizes, and both backends.
+// the solo Decrypt path on arbitrary seeds and sizes.
 func FuzzDecryptBatchEquivalence(f *testing.F) {
-	f.Add([]byte("seed"), uint8(4), false)
-	f.Add([]byte{0x7}, uint8(1), true)
-	f.Add([]byte{0xaa, 0xbb, 0xcc}, uint8(12), false)
-	f.Fuzz(func(t *testing.T, seedData []byte, n uint8, useP256 bool) {
-		g := group.Ristretto255
-		if useP256 {
-			g = group.P256
-		}
-		kp := fuzzKeys[g.Name()]
+	f.Add([]byte("seed"), uint8(4))
+	f.Add([]byte{0x7}, uint8(1))
+	f.Add([]byte{0xaa, 0xbb, 0xcc}, uint8(12))
+	f.Fuzz(func(t *testing.T, seedData []byte, n uint8) {
+		kp := fuzzKey
 		var seed [32]byte
 		copy(seed[:], seedData)
-		cts, err := fuzzCiphertexts(g, kp, seed, int(n%16))
+		cts, err := fuzzCiphertexts(kp, seed, int(n%16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha, err := RandomScalarGroup(g, mrand.NewChaCha8(seed))
+		alpha, err := RandomScalar(mrand.NewChaCha8(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		NewBlinderGroup(g, alpha).BlindBatch(cts)
+		NewBlinder(alpha).BlindBatch(cts)
 		d := kp.Decrypter()
 		pts := d.DecryptBatch(cts)
 		pseudos := d.PseudonymBatch(cts)
@@ -514,116 +495,111 @@ func BenchmarkDecrypt(b *testing.B) {
 	}
 }
 
-// BenchmarkHashToPointCacheMiss measures the uncached try-and-increment
-// path (every iteration hashes a fresh label), the case the hoisted loop
-// constants speed up; the P-256 variant is the historical hot spot.
+// BenchmarkHashToPointCacheMiss measures the uncached hash-to-group path
+// (every iteration hashes a fresh label), the cost the Encrypter's cache
+// saves per repeated crowd ID.
 func BenchmarkHashToPointCacheMiss(b *testing.B) {
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		b.Run(g.Name(), func(b *testing.B) {
-			var label [8]byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				label[0], label[1], label[2], label[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-				HashToPointGroup(g, label[:])
-			}
-		})
-	}
+	b.Run(curveName, func(b *testing.B) {
+		var label [8]byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			label[0], label[1], label[2], label[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
+			HashToPoint(label[:])
+		}
+	})
 }
 
-// BenchmarkElGamalBackends tracks the crowd-ID blinding hot path on each
-// group backend: encrypt/blind/decrypt one ciphertext per op serially, and
+// BenchmarkElGamalBackends tracks the crowd-ID blinding hot path:
+// encrypt/blind/decrypt one ciphertext per op serially, and
 // the batch kernels amortized over 256 ciphertexts on one worker (one
 // scalar recoding and one shared inversion per batch). ns/ct is the
 // comparable unit across serial and batch rows.
 func BenchmarkElGamalBackends(b *testing.B) {
 	const batch = 256
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := NewEncrypter(kp.H)
-		e.keyTable() // build outside the timer
-		alpha, err := RandomScalarGroup(g, rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		makeCts := func(n int) []Ciphertext {
-			cts := make([]Ciphertext, n)
-			for i := range cts {
-				ct, err := e.EncryptCrowdID(rand.Reader, []byte("crowd"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cts[i] = ct
-			}
-			return cts
-		}
-		b.Run(g.Name()+"/encrypt", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.EncryptCrowdID(rand.Reader, []byte("crowd")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
-		})
-		b.Run(g.Name()+"/encrypt-batch", func(b *testing.B) {
-			ids := make([][]byte, batch)
-			rngs := make([]io.Reader, batch)
-			for i := range ids {
-				ids[i] = []byte("crowd")
-				rngs[i] = rand.Reader
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.EncryptCrowdIDBatch(rngs, ids, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
-		})
-		b.Run(g.Name()+"/blind", func(b *testing.B) {
-			ct := makeCts(1)[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Blind(ct, alpha)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
-		})
-		b.Run(g.Name()+"/blind-batch", func(b *testing.B) {
-			blinder := NewBlinderGroup(g, alpha)
-			cts := makeCts(batch)
-			scratch := make([]Ciphertext, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(scratch, cts)
-				blinder.BlindBatch(scratch)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
-		})
-		b.Run(g.Name()+"/decrypt", func(b *testing.B) {
-			ct := makeCts(1)[0]
-			d := kp.Decrypter()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Decrypt(ct)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
-		})
-		b.Run(g.Name()+"/decrypt-batch", func(b *testing.B) {
-			cts := makeCts(batch)
-			d := kp.Decrypter()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.DecryptBatch(cts)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
-		})
+	kp, err := GenerateKeyPair(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
 	}
+	e := NewEncrypter(kp.H)
+	e.keyTable() // build outside the timer
+	alpha, err := RandomScalar(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	makeCts := func(n int) []Ciphertext {
+		cts := make([]Ciphertext, n)
+		for i := range cts {
+			ct, err := e.EncryptCrowdID(rand.Reader, []byte("crowd"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cts[i] = ct
+		}
+		return cts
+	}
+	b.Run(curveName+"/encrypt", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.EncryptCrowdID(rand.Reader, []byte("crowd")); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
+	})
+	b.Run(curveName+"/encrypt-batch", func(b *testing.B) {
+		ids := make([][]byte, batch)
+		rngs := make([]io.Reader, batch)
+		for i := range ids {
+			ids[i] = []byte("crowd")
+			rngs[i] = rand.Reader
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.EncryptCrowdIDBatch(rngs, ids, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
+	})
+	b.Run(curveName+"/blind", func(b *testing.B) {
+		ct := makeCts(1)[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Blind(ct, alpha)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
+	})
+	b.Run(curveName+"/blind-batch", func(b *testing.B) {
+		blinder := NewBlinder(alpha)
+		cts := makeCts(batch)
+		scratch := make([]Ciphertext, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(scratch, cts)
+			blinder.BlindBatch(scratch)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
+	})
+	b.Run(curveName+"/decrypt", func(b *testing.B) {
+		ct := makeCts(1)[0]
+		d := kp.Decrypter()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Decrypt(ct)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
+	})
+	b.Run(curveName+"/decrypt-batch", func(b *testing.B) {
+		cts := makeCts(batch)
+		d := kp.Decrypter()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.DecryptBatch(cts)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
+	})
 }

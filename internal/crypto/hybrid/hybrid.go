@@ -1,10 +1,12 @@
 // Package hybrid implements the nested (hybrid) public-key encryption used
-// between ESA stages: an ephemeral Diffie-Hellman key agreement over a
-// pluggable prime-order group, HKDF-SHA256 key derivation, and AES-128-GCM
-// authenticated encryption. This mirrors Prochlo's wire cryptography (§5.1:
-// "NIST P-256 asymmetric key pairs used to derive AES-128 GCM symmetric
-// keys"); the group layer adds a ristretto255 backend (the default) whose
-// fixed-point kernels make sealing several times cheaper in pure Go.
+// between ESA stages: an ephemeral Diffie-Hellman key agreement over the
+// edwards25519 group of package group, HKDF-SHA256 key derivation, and
+// AES-128-GCM authenticated encryption. This mirrors Prochlo's wire
+// cryptography (§5.1: "NIST P-256 asymmetric key pairs used to derive
+// AES-128 GCM symmetric keys") on a curve whose pure-Go fixed-point kernels
+// make sealing several times cheaper. The DH path clears the cofactor, so a
+// small-subgroup component in a hostile ephemeral key cannot probe the
+// private key.
 //
 // A client encrypts its report first to the analyzer's public key (the inner
 // layer) and then, together with the crowd ID, to the shuffler's public key
@@ -57,7 +59,6 @@ var ErrDecrypt = errors.New("hybrid: decryption failed")
 
 // PrivateKey is a recipient's decryption key. It is safe for concurrent use.
 type PrivateKey struct {
-	g        group.Group
 	x        *big.Int
 	prepared group.Scalar // DH-prepared scalar (cofactor inverse folded in)
 
@@ -67,43 +68,37 @@ type PrivateKey struct {
 
 // PublicKey is a recipient's encryption key. It is safe for concurrent use.
 type PublicKey struct {
-	g   group.Group
 	el  group.Element
 	enc []byte // cached wire encoding, used in every key derivation
 
 	tableOnce sync.Once
-	table     group.Table
+	table     *group.Table
 }
 
 // newPublicKey normalizes and caches the encoding once; both the seal and
 // open hot paths feed the bytes into HKDF.
-func newPublicKey(g group.Group, el group.Element) *PublicKey {
+func newPublicKey(el group.Element) *PublicKey {
 	els := []group.Element{el}
-	g.Normalize(els)
-	return &PublicKey{g: g, el: els[0], enc: g.Encode(els[0])}
+	group.Normalize(els)
+	return &PublicKey{el: els[0], enc: group.Encode(els[0])}
 }
 
-// GenerateKey creates a fresh key pair on the default group.
+// GenerateKey creates a fresh key pair. Key generation consumes a
+// deterministic number of rng bytes per attempt, so seeded harnesses
+// produce reproducible keys.
 func GenerateKey(rng io.Reader) (*PrivateKey, error) {
-	return GenerateKeyGroup(group.Default(), rng)
-}
-
-// GenerateKeyGroup creates a fresh key pair on an explicit group. Key
-// generation consumes a deterministic number of rng bytes per attempt, so
-// seeded harnesses produce reproducible keys.
-func GenerateKeyGroup(g group.Group, rng io.Reader) (*PrivateKey, error) {
-	k, err := g.RandomScalar(rng)
+	k, err := group.RandomScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	return &PrivateKey{g: g, x: group.ScalarToBig(k), prepared: g.PrepareDH(k)}, nil
+	return &PrivateKey{x: group.ScalarToBig(k), prepared: group.PrepareDH(k)}, nil
 }
 
 // initPublic caches the public half; Open needs its bytes for every key
 // derivation.
 func (p *PrivateKey) initPublic() {
 	p.pubOnce.Do(func() {
-		p.pub = newPublicKey(p.g, p.g.BaseMul(group.ScalarFromBig(p.x)))
+		p.pub = newPublicKey(group.BaseMul(group.ScalarFromBig(p.x)))
 	})
 }
 
@@ -119,17 +114,9 @@ func (p *PrivateKey) publicBytes() []byte {
 	return p.pub.enc
 }
 
-// Group returns the group the key lives on.
-func (p *PrivateKey) Group() group.Group { return p.g }
-
-// Group returns the group the key lives on.
-func (p *PublicKey) Group() group.Group { return p.g }
-
-// Bytes returns the wire encoding of the public key, suitable for embedding
-// in client software or publishing in an attestation quote. On P-256 this is
-// the SEC1 uncompressed form, byte-compatible with the crypto/ecdh encoding
-// used before the group layer existed. The returned slice is fresh; callers
-// may modify it.
+// Bytes returns the 65-byte wire encoding of the public key, suitable for
+// embedding in client software or publishing in an attestation quote. The
+// returned slice is fresh; callers may modify it.
 func (p *PublicKey) Bytes() []byte {
 	out := make([]byte, len(p.enc))
 	copy(out, p.enc)
@@ -141,55 +128,42 @@ func (p *PublicKey) Bytes() []byte {
 // over the DH image of the point (cofactor cleared and compensated), so seal
 // and open derive the same secret even for a public key encoding that carries
 // a small-subgroup component.
-func (p *PublicKey) dhTable() group.Table {
+func (p *PublicKey) dhTable() *group.Table {
 	p.tableOnce.Do(func() {
 		one := group.ScalarFromBig(big.NewInt(1))
-		dhEl := p.g.MulDH(p.el, p.g.PrepareDH(one))
-		p.table = p.g.Precompute(dhEl)
+		p.table = group.Precompute(group.MulDH(p.el, group.PrepareDH(one)))
 	})
 	return p.table
 }
 
-// ParsePublicKey decodes a public key produced by (*PublicKey).Bytes,
-// inferring the group backend from the tag byte. Legacy compressed P-256
-// points parse too.
+// ParsePublicKey decodes a public key produced by (*PublicKey).Bytes (or
+// its 32-byte compressed form).
 func ParsePublicKey(b []byte) (*PublicKey, error) {
-	g, err := group.Infer(b)
+	el, err := group.Decode(b)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	el, err := g.Decode(b)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
-	if g.IsIdentity(el) {
+	if group.IsIdentity(el) {
 		return nil, errors.New("hybrid: identity public key")
 	}
-	return newPublicKey(g, el), nil
+	return newPublicKey(el), nil
 }
 
 // Bytes returns the private scalar encoding (32 bytes big-endian), for
 // persisting a long-lived daemon key across restarts. Handle with care: this
-// is the secret. The group is not self-describing; reload with the matching
-// ParsePrivateKeyGroup.
+// is the secret.
 func (p *PrivateKey) Bytes() []byte { return group.ScalarFromBig(p.x) }
 
-// ParsePrivateKey decodes a private key produced by (*PrivateKey).Bytes on
-// the default group.
+// ParsePrivateKey decodes a private key produced by (*PrivateKey).Bytes.
 func ParsePrivateKey(b []byte) (*PrivateKey, error) {
-	return ParsePrivateKeyGroup(group.Default(), b)
-}
-
-// ParsePrivateKeyGroup is ParsePrivateKey on an explicit group.
-func ParsePrivateKeyGroup(g group.Group, b []byte) (*PrivateKey, error) {
 	if len(b) != group.ScalarSize {
 		return nil, errors.New("hybrid: invalid private key length")
 	}
 	x := new(big.Int).SetBytes(b)
-	if x.Sign() <= 0 || x.Cmp(g.Order()) >= 0 {
+	if x.Sign() <= 0 || x.Cmp(group.Order()) >= 0 {
 		return nil, errors.New("hybrid: private scalar out of range")
 	}
-	return &PrivateKey{g: g, x: x, prepared: g.PrepareDH(group.ScalarFromBig(x))}, nil
+	return &PrivateKey{x: x, prepared: group.PrepareDH(group.ScalarFromBig(x))}, nil
 }
 
 // hkdfInfo is the domain-separation label of the key derivation.
@@ -303,13 +277,12 @@ type Encap struct {
 // derive the AES key. The solo paths normalize the two points individually;
 // EncapBatch shares one normalization across a whole batch instead.
 func encap(rng io.Reader, pub *PublicKey, out *Encap) error {
-	g := pub.g
-	k, err := g.RandomScalar(rng)
+	k, err := group.RandomScalar(rng)
 	if err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
-	ephPub := g.Encode(g.BaseMul(k))
-	shared := g.SharedBytes(pub.dhTable().Mul(k))
+	ephPub := group.Encode(group.BaseMul(k))
+	shared := group.SharedBytes(pub.dhTable().Mul(k))
 	sc := scratchPool.Get().(*scratch)
 	copy(out.Key[:], sc.sealKey(shared, ephPub, pub.enc))
 	scratchPool.Put(sc)
@@ -328,27 +301,26 @@ func EncapBatch(pub *PublicKey, rngs []io.Reader, workers int) ([]Encap, error) 
 	if n == 0 {
 		return nil, nil
 	}
-	g := pub.g
 	table := pub.dhTable()
 	els := make([]group.Element, 2*n)
 	errs := make([]error, n)
 	parallel.For(parallel.Workers(workers), n, func(i int) {
-		k, err := g.RandomScalar(rngs[i])
+		k, err := group.RandomScalar(rngs[i])
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		els[2*i] = g.BaseMul(k)
+		els[2*i] = group.BaseMul(k)
 		els[2*i+1] = table.Mul(k)
 	})
 	if i, err := parallel.FirstError(errs); err != nil {
 		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
 	}
-	g.Normalize(els)
+	group.Normalize(els)
 	out := make([]Encap, n)
 	parallel.For(parallel.Workers(workers), n, func(i int) {
-		ephPub := g.Encode(els[2*i])
-		shared := g.SharedBytes(els[2*i+1])
+		ephPub := group.Encode(els[2*i])
+		shared := group.SharedBytes(els[2*i+1])
 		sc := scratchPool.Get().(*scratch)
 		copy(out[i].Key[:], sc.sealKey(shared, ephPub, pub.enc))
 		scratchPool.Put(sc)
@@ -505,11 +477,11 @@ func (p *PrivateKey) OpenInto(dst, sealed, aad []byte) ([]byte, error) {
 	if len(sealed) < pubKeyLen+nonceLen+tagLen {
 		return nil, ErrDecrypt
 	}
-	ephEl, err := p.g.Decode(sealed[:pubKeyLen])
-	if err != nil || p.g.IsIdentity(ephEl) {
+	ephEl, err := group.Decode(sealed[:pubKeyLen])
+	if err != nil || group.IsIdentity(ephEl) {
 		return nil, ErrDecrypt
 	}
-	shared := p.g.SharedBytes(p.g.MulDH(ephEl, p.prepared))
+	shared := group.SharedBytes(group.MulDH(ephEl, p.prepared))
 	sc := scratchPool.Get().(*scratch)
 	gcm, err := newAEAD(sc.sealKey(shared, sealed[:pubKeyLen], p.publicBytes()))
 	scratchPool.Put(sc)

@@ -28,7 +28,6 @@ import (
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
-	cgroup "prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/parallel"
@@ -145,34 +144,19 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 // metadata, and shuffles. It cannot decrypt crowd IDs (no Shuffler 2 private
 // key) nor data (no analyzer key).
 type Shuffler1 struct {
-	Alpha    *big.Int     // blinding exponent, fixed per batch epoch
-	Group    cgroup.Group // El Gamal group backend; nil selects the default
+	Alpha    *big.Int // blinding exponent, fixed per batch epoch
 	Rand     *rand.Rand
 	MinBatch int // anonymity floor per epoch; 0 selects DefaultMinBatch
 	Workers  int // blinding workers; 0 = GOMAXPROCS, 1 = serial
 }
 
-func (s *Shuffler1) group() cgroup.Group {
-	if s.Group == nil {
-		return cgroup.Default()
-	}
-	return s.Group
-}
-
-// NewShuffler1 draws a fresh blinding exponent on the default group.
+// NewShuffler1 draws a fresh blinding exponent.
 func NewShuffler1(rng *rand.Rand) (*Shuffler1, error) {
-	return NewShuffler1Group(cgroup.Default(), rng)
-}
-
-// NewShuffler1Group draws a fresh blinding exponent on an explicit group
-// (the exponent range is the group order, so the backend must be fixed
-// before the draw).
-func NewShuffler1Group(g cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
-	alpha, err := elgamal.RandomScalarGroup(g, crand.Reader)
+	alpha, err := elgamal.RandomScalar(crand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	return &Shuffler1{Alpha: alpha, Group: g, Rand: rng}, nil
+	return &Shuffler1{Alpha: alpha, Rand: rng}, nil
 }
 
 // blindChunk is the number of ciphertexts a worker feeds the El Gamal batch
@@ -187,8 +171,7 @@ const blindChunk = 256
 // recoded once per chunk and each chunk's outputs are normalized with one
 // shared inversion before encoding.
 func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelope, error) {
-	g := s.group()
-	blinder := elgamal.NewBlinderGroup(g, s.Alpha)
+	blinder := elgamal.NewBlinder(s.Alpha)
 	workers := parallel.Workers(s.Workers)
 	n := len(batch)
 	cts := make([]elgamal.Ciphertext, n)
@@ -196,18 +179,18 @@ func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelop
 	parallel.For(workers, n, func(i int) {
 		batch[i].StripMetadata()
 		c1, err := elgamal.ParsePoint(batch[i].CrowdC1)
-		if err != nil || c1.Group().Name() != g.Name() {
+		if err != nil {
 			return
 		}
 		c2, err := elgamal.ParsePoint(batch[i].CrowdC2)
-		if err != nil || c2.Group().Name() != g.Name() {
+		if err != nil {
 			return
 		}
 		cts[i] = elgamal.Ciphertext{C1: c1, C2: c2}
 		ok[i] = true
 	})
-	// Compact to the valid envelopes (dropping unparsable or wrong-backend
-	// crowd IDs), then blind chunk-wise on the pool.
+	// Compact to the valid envelopes (dropping unparsable crowd IDs), then
+	// blind chunk-wise on the pool.
 	idx := make([]int, 0, n)
 	for i := range ok {
 		if ok[i] {
@@ -268,10 +251,6 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
 	dec := s.Blinding.Decrypter()
-	g := s.Blinding.G
-	if g == nil {
-		g = cgroup.Default()
-	}
 	items := make([]openedBlinded, len(batch))
 	// Shared plaintext arena, as in Shuffler.Process.
 	arena := parallel.NewArena(len(batch), func(i int) int {
@@ -281,8 +260,7 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 		c1, err1 := elgamal.ParsePoint(batch[i].CrowdC1)
 		c2, err2 := elgamal.ParsePoint(batch[i].CrowdC2)
 		inner, err3 := s.Priv.OpenInto(arena.Slot(i), batch[i].Blob, nil)
-		if err1 != nil || err2 != nil || err3 != nil ||
-			c1.Group().Name() != g.Name() || c2.Group().Name() != g.Name() {
+		if err1 != nil || err2 != nil || err3 != nil {
 			return
 		}
 		items[i].ct = elgamal.Ciphertext{C1: c1, C2: c2}

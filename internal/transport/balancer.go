@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,14 +252,25 @@ func (b *Balancer) probeLoop(interval time.Duration) {
 	}
 }
 
+// probeTimeout bounds one Healthz round trip. Probes run one replica at a
+// time, so a replica that accepts TCP but never answers would otherwise
+// stall the probe loop for good and no ejected replica would ever be
+// readmitted.
+const probeTimeout = 4 * DefaultProbeInterval
+
 // probe issues one Healthz on a fresh throwaway connection, so a wedged
 // submission client can never make a healthy replica look dead and the
 // probe never disturbs an in-flight submission's connection.
 func (b *Balancer) probe(r *balancerReplica) bool {
-	c, err := dialRPC(r.addr, b.cfg.DialTimeout)
+	conn, err := dialTCP(r.addr, b.cfg.DialTimeout)
 	if err != nil {
 		return false
 	}
+	if err := conn.SetDeadline(time.Now().Add(probeTimeout)); err != nil {
+		conn.Close()
+		return false
+	}
+	c := rpc.NewClient(conn)
 	defer c.Close()
 	var reply HealthzReply
 	if err := c.Call("Shuffler.Healthz", struct{}{}, &reply); err != nil {

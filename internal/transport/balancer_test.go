@@ -190,6 +190,58 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	waitFor("breaker readmission", func(s BalancerStats) bool { return s.Healthy == 2 && s.Readmits >= 1 })
 }
 
+// TestBalancerProbeHungReplica: a replica that accepts TCP but never
+// answers must fail its health probe within the probe deadline. Probes run
+// one replica at a time, so a probe without a deadline would wedge the
+// probe loop and no ejected replica would ever be readmitted.
+func TestBalancerProbeHungReplica(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var held []net.Conn
+	var mu sync.Mutex
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c) // accept, never read or answer
+			mu.Unlock()
+		}
+	}()
+
+	b, err := NewBalancer([]string{l.Addr().String()}, BalancerConfig{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	start := time.Now()
+	done := make(chan bool, 1)
+	go func() { done <- b.probe(b.replicas[0]) }()
+	select {
+	case healthy := <-done:
+		if healthy {
+			t.Fatal("hung replica probed healthy")
+		}
+		if elapsed := time.Since(start); elapsed > 2*probeTimeout {
+			t.Fatalf("probe took %v, want about %v", elapsed, probeTimeout)
+		}
+	case <-time.After(5 * probeTimeout):
+		t.Fatal("probe of a hung replica never returned")
+	}
+}
+
 // TestBalancerAmbiguousErrorSurfaces pins the other half of the safety
 // rule: when a replica dies under an established connection, the in-flight
 // slice may already sit in its write-ahead log, so after the client's own

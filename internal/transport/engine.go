@@ -24,13 +24,18 @@ import (
 // EpochConfig.DialTimeout, or per client with DialTimeout/DialAnalyzerTimeout.
 const DefaultDialTimeout = 5 * time.Second
 
-// dialRPC dials an RPC peer with a bounded connect timeout (timeout <= 0
+// dialTCP connects to a peer with a bounded connect timeout (timeout <= 0
 // selects DefaultDialTimeout).
-func dialRPC(addr string, timeout time.Duration) (*rpc.Client, error) {
+func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
+// dialRPC dials an RPC peer with a bounded connect timeout.
+func dialRPC(addr string, timeout time.Duration) (*rpc.Client, error) {
+	conn, err := dialTCP(addr, timeout)
 	if err != nil {
 		return nil, err
 	}

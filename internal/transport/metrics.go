@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"prochlo/internal/metrics"
+	"prochlo/internal/shuffler"
 )
 
 // Instrumentation for the stage engine, WAL, and balancer. Everything here
@@ -67,6 +68,25 @@ func (e *engine[T]) registerMetrics() {
 			}
 			return float64(e.accepted.Load() - int64(received) - e.dropped.Load() - e.occupancy.Load())
 		})
+	// What privacy cost, hop-wide: the thresholding and decryption
+	// outcomes the stage already sums into e.cum. Aggregate series only;
+	// nothing is exported per crowd.
+	cum := func(field func(*shuffler.Stats) int) func() float64 {
+		return func() float64 {
+			e.mu.Lock()
+			v := field(&e.cum)
+			e.mu.Unlock()
+			return float64(v)
+		}
+	}
+	reg.CounterFunc("prochlo_stage_undecryptable_total", "Reports the stage dropped because their outer layer or crowd ID failed to decrypt or parse.", l,
+		cum(func(s *shuffler.Stats) int { return s.Undecryptable }))
+	reg.CounterFunc("prochlo_stage_crowds_total", "Crowds seen by thresholding, summed over epochs.", l,
+		cum(func(s *shuffler.Stats) int { return s.Crowds }))
+	reg.CounterFunc("prochlo_stage_crowds_forwarded_total", "Crowds that survived thresholding, summed over epochs.", l,
+		cum(func(s *shuffler.Stats) int { return s.CrowdsForwarded }))
+	reg.CounterFunc("prochlo_stage_reports_forwarded_total", "Reports forwarded downstream after thresholding.", l,
+		cum(func(s *shuffler.Stats) int { return s.Forwarded }))
 	reg.GaugeFunc("prochlo_wal_recovered_reports", "Reports recovered from the WAL at the last restart.", l,
 		func() float64 { return float64(e.recItems) })
 	reg.GaugeFunc("prochlo_wal_recovered_epochs", "Cut-but-unresolved epochs recovered from the WAL at the last restart.", l,

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/rpc"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,11 +154,15 @@ func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, error) {
 	// only as body bytes arrive (at most frameReadChunk, or its own size,
 	// ahead of them), so a header that merely claims a huge frame costs the
 	// sender the bytes, not the server the allocation.
+	// The growth is an explicit make and copy rather than slices.Grow,
+	// whose append-of-make allocates twice when the compiler instruments
+	// for the race detector.
 	var body []byte
 	for uint64(len(body)) < n {
 		got := len(body)
-		body = slices.Grow(body, int(min(n-uint64(got), uint64(max(got, frameReadChunk)))))
-		body = body[:min(uint64(cap(body)), n)]
+		grown := make([]byte, min(n, uint64(got+max(got, frameReadChunk))))
+		copy(grown, body)
+		body = grown
 		if _, err := io.ReadFull(br, body[got:]); err != nil {
 			return nil, fmt.Errorf("transport: wire frame body: %w", err)
 		}

@@ -9,8 +9,10 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
+	"prochlo/internal/dp"
 	"prochlo/internal/load"
 	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
@@ -212,5 +214,81 @@ func TestMacroLoadSmoke(t *testing.T) {
 	// across the analyzer partitions.
 	if rec := sumSeries(t, end, "prochlo_analyzer_records"); rec != total {
 		t.Errorf("analyzer records = %v, want %d", rec, total)
+	}
+}
+
+// TestPrivacyCostMetrics pins the privacy-cost series an operator reads
+// from /metrics: after a drained, seeded, thresholded chain run with a few
+// undecryptable reports injected at the entry hop, each hop's
+// prochlo_stage_{undecryptable,crowds,crowds_forwarded,reports_forwarded}
+// counters equal that hop's Stats().Cumulative exactly.
+func TestPrivacyCostMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := func(role string) transport.EpochConfig {
+		return transport.EpochConfig{Metrics: reg, MetricsLabels: metrics.Labels{"role": role}}
+	}
+	rig := newChainRig(t, 42, 1, shuffler.Threshold{Noise: dp.PaperThresholdNoise},
+		cfg("shuffler1"), cfg("shuffler2"))
+	rp := rig.dial(t, 1)
+	labels, data := sampleReports(300)
+	if err := rp.SubmitBatch(labels, data); err != nil {
+		t.Fatal(err)
+	}
+	// Well-formed crowd IDs over garbage envelopes: hop 1 blinds and
+	// forwards them, and hop 2 counts them undecryptable.
+	const garbage = 3
+	crowd := elgamal.HashToPoint([]byte("crowd")).Bytes()
+	bad := make([]core.BlindedEnvelope, garbage)
+	for i := range bad {
+		bad[i] = core.BlindedEnvelope{CrowdC1: crowd, CrowdC2: crowd, Blob: make([]byte, hybrid.Overhead+8)}
+	}
+	cl, err := transport.Dial(rig.s1L.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if n, err := cl.SubmitAllBlinded(bad, 0, 0); err != nil || n != garbage {
+		t.Fatalf("SubmitAllBlinded = (%d, %v)", n, err)
+	}
+	if _, err := rp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var b bytes.Buffer
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	scrape := b.String()
+	for _, hop := range []struct {
+		role string
+		svc  *transport.ShufflerService
+	}{{"shuffler1", rig.s1svc}, {"shuffler2", rig.s2svc}} {
+		var st transport.ServiceStats
+		if err := hop.svc.Stats(struct{}{}, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Unaccounted != 0 {
+			t.Errorf("%s: Unaccounted = %d", hop.role, st.Unaccounted)
+		}
+		c := st.Cumulative
+		for family, want := range map[string]int{
+			"prochlo_stage_undecryptable_total":     c.Undecryptable,
+			"prochlo_stage_crowds_total":            c.Crowds,
+			"prochlo_stage_crowds_forwarded_total":  c.CrowdsForwarded,
+			"prochlo_stage_reports_forwarded_total": c.Forwarded,
+		} {
+			series := family + `{role="` + hop.role + `"}`
+			if got := sumSeries(t, scrape, series); got != float64(want) {
+				t.Errorf("%s = %v, want Cumulative %d", series, got, want)
+			}
+		}
+		if hop.role == "shuffler2" {
+			if c.Undecryptable != garbage {
+				t.Errorf("shuffler2 undecryptable = %d, want %d", c.Undecryptable, garbage)
+			}
+			if c.CrowdsForwarded >= c.Crowds || c.Forwarded >= c.Received-garbage {
+				t.Errorf("thresholding suppressed nothing: %+v", c)
+			}
+		}
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
@@ -77,7 +76,6 @@ type Pipeline struct {
 	minBatch  int
 	seed      uint64
 	workers   int
-	group     group.Group
 
 	// stages is the shuffler chain Flush drives, in hop order.
 	stages []shuffler.Stage
@@ -176,25 +174,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithGroup selects the elliptic-group backend for all of the pipeline's
-// public-key cryptography — hybrid envelope encryption and, in ModeBlinded,
-// the El Gamal crowd-ID blinding. Valid names are "ristretto255" (the
-// default: ~3x cheaper encoding in pure Go) and "p256" (the paper's NIST
-// P-256, wire-compatible with crypto/ecdh key material). Both backends
-// produce identical histograms for identical inputs; only key and envelope
-// bytes differ. ModeSGX ignores the option: the enclave generates its own
-// attested key on the default backend.
-func WithGroup(name string) Option {
-	return func(p *Pipeline) error {
-		g, err := group.ByName(name)
-		if err != nil {
-			return fmt.Errorf("prochlo: %w", err)
-		}
-		p.group = g
-		return nil
-	}
-}
-
 // WithWorkers sets the pipeline-wide worker count: n <= 0 selects
 // GOMAXPROCS, 1 forces the serial reference path. Workers parallelize the
 // per-report public-key hot path of every stage — batch encoding
@@ -222,11 +201,8 @@ func New(opts ...Option) (*Pipeline, error) {
 			return nil, err
 		}
 	}
-	if p.group == nil {
-		p.group = group.Default()
-	}
 	var err error
-	p.analyzerPriv, err = hybrid.GenerateKeyGroup(p.group, crand.Reader)
+	p.analyzerPriv, err = hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +214,7 @@ func New(opts ...Option) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.shufflerPriv, err = hybrid.GenerateKeyGroup(p.group, crand.Reader)
+		p.shufflerPriv, err = hybrid.GenerateKey(crand.Reader)
 		if err != nil {
 			return nil, err
 		}
@@ -290,17 +266,17 @@ func New(opts ...Option) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.s1, err = shuffler.NewShuffler1Group(p.group, rng1)
+		p.s1, err = shuffler.NewShuffler1(rng1)
 		if err != nil {
 			return nil, err
 		}
 		p.s1.MinBatch = p.minBatch
 		p.s1.Workers = p.workers
-		blindKP, err := elgamal.GenerateKeyPairGroup(p.group, crand.Reader)
+		blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
 		if err != nil {
 			return nil, err
 		}
-		s2Priv, err := hybrid.GenerateKeyGroup(p.group, crand.Reader)
+		s2Priv, err := hybrid.GenerateKey(crand.Reader)
 		if err != nil {
 			return nil, err
 		}

@@ -361,55 +361,3 @@ func TestSubmitBatchValidation(t *testing.T) {
 		t.Errorf("pending = %d after empty batch", p.Pending())
 	}
 }
-
-// TestCrossGroupHistogramEquivalence: the elliptic-group backend is an
-// implementation detail of the envelope and blinding cryptography — under
-// the same seed and workload, P-256 and ristretto255 pipelines must produce
-// identical histograms in every mode that accepts WithGroup.
-func TestCrossGroupHistogramEquivalence(t *testing.T) {
-	run := func(t *testing.T, opts ...Option) map[string]int {
-		t.Helper()
-		p, err := New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 70; i++ {
-			if err := p.Submit(fmt.Sprintf("crowd:%d", i%3), []byte(fmt.Sprintf("value-%d", i%3))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 4; i++ {
-			if err := p.Submit("crowd:rare", []byte("rare-value")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := p.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Histogram
-	}
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"plain", []Option{WithSeed(11), WithNoisyThreshold(20, 10, 2)}},
-		{"blinded", []Option{WithSeed(11), WithMode(ModeBlinded), WithNoisyThreshold(20, 10, 2)}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			p256 := run(t, append([]Option{WithGroup("p256")}, mode.opts...)...)
-			ristretto := run(t, append([]Option{WithGroup("ristretto255")}, mode.opts...)...)
-			if len(p256) != len(ristretto) {
-				t.Fatalf("histogram sizes differ: p256 %v, ristretto255 %v", p256, ristretto)
-			}
-			for k, v := range p256 {
-				if ristretto[k] != v {
-					t.Errorf("histogram[%q] = %d on p256, %d on ristretto255", k, v, ristretto[k])
-				}
-			}
-			if p256["rare-value"] != 0 {
-				t.Error("rare crowd leaked through thresholding")
-			}
-		})
-	}
-}

@@ -18,10 +18,9 @@
 # BENCH_shuffler.json is the PR 1 baseline and is kept for trajectory.
 #
 # A second artifact, BENCH_crypto.json, tracks the crypto kernels under
-# the pipeline: per-backend (p256 vs ristretto255) seal/open and El Gamal
-# encrypt/blind/decrypt, serial vs the amortized batch kernels, plus the
-# raw scalar-mult primitives (comb vs wNAF vs crypto/elliptic) and the
-# uncached HashToPoint path. scripts/bench_delta.sh diffs two captures.
+# the pipeline: hybrid seal/open and El Gamal encrypt/blind/decrypt,
+# serial vs the amortized batch kernels, plus the raw scalar-mult
+# primitives (comb vs wNAF) and the uncached HashToPoint path. scripts/bench_delta.sh diffs two captures.
 #
 # A third artifact, BENCH_wire.json, tracks the data-plane wire protocol:
 # BenchmarkWireCodec (one batch marshal+unmarshal through the binary codec)
@@ -74,14 +73,14 @@ go run ./cmd/prochloload -sweep 1x1x1,2x2x2 -seed 7 -format json -out "$macro"
 
 echo "wrote BENCH_pipeline.json"
 
-# Crypto kernel rows: the per-backend hot-path benchmarks plus the raw
-# scalar-mult primitives they are built on.
+# Crypto kernel rows: the hot-path benchmarks plus the raw scalar-mult
+# primitives they are built on.
 go test -run '^$' -bench 'BenchmarkElGamalBackends|BenchmarkHashToPointCacheMiss' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/elgamal | tee -a "$crypto"
 go test -run '^$' -bench 'BenchmarkHybridBackends' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/hybrid | tee -a "$crypto"
 go test -run '^$' \
-  -bench 'BenchmarkP256CombMul|BenchmarkP256EllipticScalarMult|BenchmarkEdCombMul|BenchmarkEdWNAFMul' \
+  -bench 'BenchmarkEdCombMul|BenchmarkEdWNAFMul' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/group | tee -a "$crypto"
 
 {
